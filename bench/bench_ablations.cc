@@ -10,11 +10,11 @@
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
 
 #include "bench_common.h"
 #include "common/random.h"
 #include "common/stats.h"
-#include "io/lru_cache.h"
 #include "core/cutoff.h"
 #include "core/hupper.h"
 #include "core/mini_index.h"
@@ -22,6 +22,7 @@
 #include "data/generators.h"
 #include "index/bulk_loader.h"
 #include "index/knn.h"
+#include "io/keyed_lru_cache.h"
 #include "io/paged_file.h"
 #include "workload/query_workload.h"
 
@@ -132,7 +133,10 @@ int main() {
   // touches the leaf accesses.
   std::printf("\nA5. Buffer pool vs the all-random assumption:\n");
   auto replay = [&](size_t cache_pages) {
-    io::LruCache cache(cache_pages);
+    // A page's presence is all the replay tracks, so the cached value is a
+    // shared placeholder; a Get miss is one random access.
+    io::KeyedLruCache<uint32_t, bool> cache(cache_pages);
+    const auto resident = std::make_shared<const bool>(true);
     double leaf_accesses = 0.0;
     std::vector<uint32_t> stack;
     for (size_t qi = 0; qi < workload.num_queries(); ++qi) {
@@ -145,7 +149,7 @@ int main() {
         const bool hit = workload.Intersects(qi, node.box);
         if (!hit && !at_root) continue;
         at_root = false;
-        cache.Access(id);
+        if (cache.Get(id) == nullptr) cache.Put(id, resident);
         if (!hit) continue;
         if (node.is_leaf()) {
           leaf_accesses += 1.0;

@@ -590,15 +590,24 @@ std::vector<service::ServiceRequest> ServiceBatch() {
   return requests;
 }
 
+/// Serves every request of `batch` on its dataset's shard, in order.
+void ServeBatch(service::PredictionService& svc,
+                const std::vector<service::ServiceRequest>& batch) {
+  for (const service::ServiceRequest& r : batch) {
+    benchmark::DoNotOptimize(
+        svc.ServeOnShard(svc.registry().ShardOf(r.dataset), r));
+  }
+}
+
 void BM_ServiceBatch(benchmark::State& state) {
   const bool warm = state.range(0) != 0;
   service::PredictionService& svc = SweepService();
   const auto batch = ServiceBatch();
   svc.ClearCaches();
-  if (warm) benchmark::DoNotOptimize(svc.ProcessBatch(batch));
+  if (warm) ServeBatch(svc, batch);
   for (auto _ : state) {
     if (!warm) svc.ClearCaches();
-    benchmark::DoNotOptimize(svc.ProcessBatch(batch));
+    ServeBatch(svc, batch);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(batch.size()));
@@ -677,7 +686,7 @@ void BM_ServiceSaturation(benchmark::State& state) {
   // Every request in the open-loop stream cycles through this batch, so
   // one warm pass makes the serving path pure cache hits.
   const auto batch = ServiceBatch();
-  benchmark::DoNotOptimize(svc.ProcessBatch(batch));
+  ServeBatch(svc, batch);
 
   service::AsyncServerOptions options;
   options.shard_queue_capacity = 16;

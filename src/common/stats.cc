@@ -90,4 +90,56 @@ double RunningStats::variance() const {
   return m2_ / static_cast<double>(n_);
 }
 
+namespace {
+
+/// Buckets per doubling of the value.
+constexpr double kBucketsPerOctave = 4.0;
+
+/// Lower bound of bucket b >= 1.
+double BucketLowerBound(size_t b) {
+  return LogHistogram::kMinValue *
+         std::exp2(static_cast<double>(b - 1) / kBucketsPerOctave);
+}
+
+}  // namespace
+
+size_t LogHistogram::BucketOf(double value) {
+  if (!(value >= kMinValue)) return 0;
+  const double octaves = std::log2(value / kMinValue);
+  const double b = 1.0 + std::floor(octaves * kBucketsPerOctave);
+  return b >= static_cast<double>(kNumBuckets - 1) ? kNumBuckets - 1
+                                                   : static_cast<size_t>(b);
+}
+
+void LogHistogram::Add(double value) {
+  if (!(value >= 0.0)) value = 0.0;
+  if (count_ == 0 || value < min_) min_ = value;
+  if (count_ == 0 || value > max_) max_ = value;
+  ++counts_[BucketOf(value)];
+  ++count_;
+}
+
+double LogHistogram::Percentile(double p) const {
+  if (count_ == 0) return 0.0;
+  p = std::min(1.0, std::max(0.0, p));
+  // Nearest-rank order statistic, 0-based, as common::Percentile indexes.
+  const auto rank = static_cast<uint64_t>(
+      std::llround(p * static_cast<double>(count_ - 1)));
+  uint64_t seen = 0;
+  size_t b = 0;
+  for (; b < kNumBuckets; ++b) {
+    seen += counts_[b];
+    if (seen > rank) break;
+  }
+  double estimate = 0.0;
+  if (b == 0) {
+    estimate = kMinValue / 2.0;
+  } else if (b == kNumBuckets - 1) {
+    estimate = max_;
+  } else {
+    estimate = std::sqrt(BucketLowerBound(b) * BucketLowerBound(b + 1));
+  }
+  return std::min(max_, std::max(min_, estimate));
+}
+
 }  // namespace hdidx::common

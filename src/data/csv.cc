@@ -1,6 +1,7 @@
 #include "data/csv.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -78,9 +79,15 @@ std::optional<Dataset> ReadCsv(const std::string& path,
       return std::nullopt;
     }
     for (size_t k = 0; k < dim; ++k) {
-      if (!ParseFloat(fields[options.skip_columns + k], &point[k])) {
+      const std::string& field = fields[options.skip_columns + k];
+      if (!ParseFloat(field, &point[k])) {
         *error = path + ":" + std::to_string(line_number) +
-                 ": cannot parse '" + fields[options.skip_columns + k] + "'";
+                 ": cannot parse '" + field + "'";
+        return std::nullopt;
+      }
+      if (!std::isfinite(point[k])) {
+        *error = path + ":" + std::to_string(line_number) +
+                 ": non-finite coordinate '" + field + "'";
         return std::nullopt;
       }
     }

@@ -1,5 +1,7 @@
 #include "data/dataset.h"
 
+#include <cmath>
+
 #include "common/check.h"
 
 namespace hdidx::data {
@@ -50,6 +52,13 @@ Dataset Dataset::ProjectPrefix(size_t k) const {
     out.Append(row(i).subspan(0, k));
   }
   return out;
+}
+
+size_t FirstNonFinite(std::span<const float> values) {
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (!std::isfinite(values[i])) return i;
+  }
+  return values.size();
 }
 
 }  // namespace hdidx::data

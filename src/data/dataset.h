@@ -77,6 +77,12 @@ class Dataset {
   common::AlignedVector<float> values_;
 };
 
+/// Position of the first non-finite coordinate (NaN or +-inf) in a
+/// row-major buffer, or values.size() when every coordinate is finite.
+/// Loaders and the service registry refuse data that has one: geometry
+/// over NaN boxes silently answers "no intersection".
+size_t FirstNonFinite(std::span<const float> values);
+
 }  // namespace hdidx::data
 
 #endif  // HDIDX_DATA_DATASET_H_

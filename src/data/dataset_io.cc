@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <string>
 #include <vector>
 
 namespace hdidx::data {
@@ -70,6 +71,13 @@ std::optional<Dataset> ReadDataset(const std::string& path,
           static_cast<std::streamsize>(values.size() * sizeof(float)));
   if (!in) {
     *error = "truncated payload: " + path;
+    return std::nullopt;
+  }
+  const size_t bad = FirstNonFinite(values);
+  if (bad != values.size()) {
+    *error = "non-finite coordinate at point " +
+             std::to_string(bad / header.dim) + ", dimension " +
+             std::to_string(bad % header.dim) + " in " + path;
     return std::nullopt;
   }
   return Dataset(std::move(values), static_cast<size_t>(header.dim));

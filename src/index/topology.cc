@@ -1,5 +1,6 @@
 #include "index/topology.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/check.h"
@@ -25,12 +26,23 @@ TreeTopology::TreeTopology(size_t num_points, size_t data_capacity,
   }
 }
 
+namespace {
+
+// One data entry: dim float coordinates plus a 4-byte record id. One
+// directory entry: an MBR (2*dim floats) plus a 4-byte child pointer.
+size_t DataEntryBytes(size_t dim) { return dim * sizeof(float) + 4; }
+size_t DirEntryBytes(size_t dim) { return 2 * dim * sizeof(float) + 4; }
+
+}  // namespace
+
+size_t TreeTopology::MinPageBytes(size_t dim) {
+  return std::max(DataEntryBytes(dim), 2 * DirEntryBytes(dim));
+}
+
 TreeTopology TreeTopology::FromDisk(size_t num_points, size_t dim,
                                     const io::DiskModel& disk) {
-  // One data entry: dim float coordinates plus a 4-byte record id. One
-  // directory entry: an MBR (2*dim floats) plus a 4-byte child pointer.
-  const size_t data_entry_bytes = dim * sizeof(float) + 4;
-  const size_t dir_entry_bytes = 2 * dim * sizeof(float) + 4;
+  const size_t data_entry_bytes = DataEntryBytes(dim);
+  const size_t dir_entry_bytes = DirEntryBytes(dim);
   size_t data_cap = disk.page_bytes / data_entry_bytes;
   size_t dir_cap = disk.page_bytes / dir_entry_bytes;
   if (data_cap < 1) data_cap = 1;

@@ -29,9 +29,15 @@ class TreeTopology {
   /// Derives page capacities from a disk model: a data page holds
   /// floor(page_bytes / (dim*4 + 4)) points (coordinates plus a record id),
   /// a directory page holds floor(page_bytes / (2*dim*4 + 4)) entries (MBR
-  /// plus a child pointer).
+  /// plus a child pointer). Pages smaller than MinPageBytes(dim) are
+  /// clamped to one point / two entries.
   static TreeTopology FromDisk(size_t num_points, size_t dim,
                                const io::DiskModel& disk);
+
+  /// Smallest page that holds one data entry (dim*4 + 4 bytes) and two
+  /// directory entries (2 * (2*dim*4 + 4) bytes) — the least a page must
+  /// hold for FromDisk's capacities to be real rather than clamped.
+  static size_t MinPageBytes(size_t dim);
 
   size_t num_points() const { return num_points_; }
   size_t data_capacity() const { return data_capacity_; }

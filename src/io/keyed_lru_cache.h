@@ -11,19 +11,18 @@
 
 namespace hdidx::io {
 
-/// A generic LRU cache from an ordered key to a shared immutable value —
-/// the generalization of the page-granular LruCache to arbitrary cached
-/// artifacts (built mini-indexes, generated workloads, full prediction
-/// results in the serving layer).
+/// A generic LRU cache from an ordered key to a shared immutable value:
+/// built mini-indexes, generated workloads, full prediction results in the
+/// serving layer, and the page-trace buffer-pool replay in bench_ablations.
 ///
 /// Values are held as shared_ptr<const Value> so a cached artifact stays
 /// valid for a caller even if a concurrent insertion evicts it from the
 /// cache. The cache itself is NOT thread-safe; the prediction service keeps
 /// one instance per shard, touched only by that shard's worker.
 ///
-/// Unlike LruCache this class charges no simulated I/O: what a hit saves is
-/// whatever the caller would have spent recomputing (and re-charging) the
-/// value — the service reports that separately.
+/// This class charges no simulated I/O: what a hit saves is whatever the
+/// caller would have spent recomputing (and re-charging) the value — the
+/// service reports that separately.
 template <typename Key, typename Value>
 class KeyedLruCache {
  public:

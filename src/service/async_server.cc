@@ -23,6 +23,7 @@
 #include "common/check.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "service/protocol.h"
 
 namespace hdidx::service {
 
@@ -45,6 +46,21 @@ ssize_t SendBytes(int fd, const char* data, size_t size) {
   return ::send(fd, data, size, MSG_NOSIGNAL);
 }
 
+/// Writes as much of out[*offset, size) as the socket takes now, advancing
+/// *offset. Returns false when the peer vanished mid-write.
+bool WriteOut(int fd, const std::string& out, size_t* offset) {
+  while (*offset < out.size()) {
+    const ssize_t n = SendBytes(fd, out.data() + *offset, out.size() - *offset);
+    if (n > 0) {
+      *offset += static_cast<size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
+  return true;
+}
+
 /// Final-flush grace at shutdown: per connection, at most this many
 /// POLLOUT waits of kFlushPollMs each before the fd is closed anyway.
 constexpr int kFlushPollRounds = 10;
@@ -62,6 +78,11 @@ void DrainEventFd(int fd) {
   while (::read(fd, &value, sizeof(value)) > 0) {
   }
 }
+
+/// How a connection's bytes are framed, fixed by its first byte: '{'
+/// starts JSON lines (service/protocol.h), anything else the binary wire
+/// protocol (service/wire.h), whose magic starts with 0x48.
+enum class Framing : uint8_t { kUnknown = 0, kWire = 1, kJson = 2 };
 
 /// One accepted socket. The reactor that owns the connection is the only
 /// thread that reads it and the only thread that writes the fd; shard
@@ -83,20 +104,27 @@ struct Connection {
 
   /// Read/framing state, touched only by the owning reactor thread.
   std::string inbound HDIDX_UNGUARDED;
+  Framing framing HDIDX_UNGUARDED = Framing::kUnknown;
+  /// Next id for a JSON predict line without one.
+  uint64_t next_json_id HDIDX_UNGUARDED = 1;
   /// Epoll interest currently registered — owning reactor only.
   uint32_t armed_events HDIDX_UNGUARDED = 0;
   bool reading_paused HDIDX_UNGUARDED = false;
 };
 
-/// A predict frame waiting for its shard worker, still encoded: the
-/// reactor only peeks the routing key (dataset → shard), so payload decode
-/// cost lands on the worker, not the shared event loop. The payload is
-/// copied out of the connection's inbound buffer, which the reactor
-/// compacts as soon as the frame is consumed.
+/// A predict waiting for its shard worker. A binary predict stays encoded:
+/// the reactor only peeks the routing key (dataset → shard), so payload
+/// decode cost lands on the worker, not the shared event loop; the payload
+/// is copied out of the connection's inbound buffer, which the reactor
+/// compacts as soon as the frame is consumed. A JSON predict was parsed on
+/// the reactor (its routing key is inside the text) and travels parsed.
 struct QueueItem {
   std::shared_ptr<Connection> conn;
+  /// Binary framing: the frame, decoded by the worker.
   wire::FrameHeader header;
   std::string payload;
+  /// JSON framing: the parsed request (null for a binary frame).
+  std::unique_ptr<ServiceRequest> request;
 };
 
 /// Bounded admission queue in front of one shard worker. TryPush refuses
@@ -107,7 +135,7 @@ class ShardQueue {
   explicit ShardQueue(size_t capacity) : capacity_(capacity) {}
 
   /// False (shed counted) when the queue is at capacity or draining.
-  bool TryPush(QueueItem item) {
+  bool TryPush(QueueItem&& item) {
     common::MutexLock lock(&mu_);
     if (draining_ || items_.size() >= capacity_) {
       ++shed_;
@@ -180,17 +208,12 @@ class ShardQueue {
     while (!items_.empty() || active_ != 0) cv_.Wait(mu_);
   }
 
-  size_t depth() const {
+  /// Fills the queue-depth, peak-depth and shed gauges of `out`.
+  void ReadGauges(ServiceMetrics::Shard* out) const {
     common::MutexLock lock(&mu_);
-    return items_.size();
-  }
-  size_t peak_depth() const {
-    common::MutexLock lock(&mu_);
-    return peak_depth_;
-  }
-  uint64_t shed() const {
-    common::MutexLock lock(&mu_);
-    return shed_;
+    out->queue_depth = items_.size();
+    out->peak_queue_depth = peak_depth_;
+    out->shed = shed_;
   }
 
  private:
@@ -255,15 +278,39 @@ class AsyncServer::Impl {
   void ReactorLoop(size_t index);
   void WorkerLoop(size_t shard);
 
+  /// Serves one dequeued predict and renders the reply in its framing.
+  std::string ServeWire(size_t shard, const QueueItem& item);
+  std::string ServeJson(size_t shard, const ServiceRequest& request);
+  /// The one ServeOnShard call site, shared by both framings.
+  ServiceResponse Serve(size_t shard, const ServiceRequest& request);
+
   void HandleInbox(Reactor& r);
   void ReadConnection(Reactor& r, const std::shared_ptr<Connection>& conn);
   void ProcessInbound(Reactor& r, const std::shared_ptr<Connection>& conn);
+  /// Extracts and handles complete frames / lines; returns the number of
+  /// inbound bytes consumed (everything when the stream is poisoned).
+  size_t ProcessFrames(Reactor& r, const std::shared_ptr<Connection>& conn);
+  size_t ProcessJsonLines(Reactor& r,
+                          const std::shared_ptr<Connection>& conn);
   void HandleFrame(Reactor& r, const std::shared_ptr<Connection>& conn,
                    const wire::FrameHeader& header, std::string_view payload);
+  void HandleJsonLine(Reactor& r, const std::shared_ptr<Connection>& conn,
+                      const std::string& line);
+  /// Routes a predict to its dataset's shard queue, or answers it at once
+  /// with a shed response when the queue is full.
+  void Admit(Reactor& r, const std::shared_ptr<Connection>& conn,
+             const std::string& dataset, uint64_t id, QueueItem&& item);
+  /// Control ops (load/stats/shutdown), decoded from either framing.
+  void HandleControl(Reactor& r, const std::shared_ptr<Connection>& conn,
+                     uint64_t id, const RequestLine& request);
   void HandleLoad(Reactor& r, const std::shared_ptr<Connection>& conn,
                   uint64_t id, const RequestLine& request);
   void HandleShutdown(Reactor& r, const std::shared_ptr<Connection>& conn,
                       uint64_t id);
+  /// True when the handlers closed `conn` (or marked it to close).
+  bool Gone(Reactor& r, const std::shared_ptr<Connection>& conn) {
+    return r.conns.count(conn->fd) == 0 || IsClosed(conn);
+  }
 
   /// Appends bytes on the reactor's own thread and flushes immediately.
   void ReactorSend(Reactor& r, const std::shared_ptr<Connection>& conn,
@@ -315,6 +362,12 @@ class AsyncServer::Impl {
 bool AsyncServer::Impl::Start(std::string* error) {
   HDIDX_CHECK(threads_.empty()) << "Start() called twice";
 
+  // Every failure past this point releases what was opened so far.
+  const auto fail = [&](const std::string& what) {
+    Fail(error, what);
+    CloseFds();
+    return false;
+  };
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) return Fail(error, "socket");
   const int one = 1;
@@ -330,23 +383,14 @@ bool AsyncServer::Impl::Start(std::string* error) {
   }
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0) {
-    const bool ok = Fail(error, "bind " + options_.host + ":" +
-                                    std::to_string(options_.port));
-    CloseFds();
-    return ok;
+    return fail("bind " + options_.host + ":" + std::to_string(options_.port));
   }
-  if (::listen(listen_fd_, 128) != 0) {
-    const bool ok = Fail(error, "listen");
-    CloseFds();
-    return ok;
-  }
+  if (::listen(listen_fd_, 128) != 0) return fail("listen");
   sockaddr_in bound{};
   socklen_t bound_len = sizeof(bound);
   if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
                     &bound_len) != 0) {
-    const bool ok = Fail(error, "getsockname");
-    CloseFds();
-    return ok;
+    return fail("getsockname");
   }
   // HostToNet16 is an involution, so it also converts net->host.
   port_ = wire::HostToNet16(bound.sin_port);
@@ -354,11 +398,7 @@ bool AsyncServer::Impl::Start(std::string* error) {
 
   accept_epoll_ = ::epoll_create1(0);
   accept_wake_ = ::eventfd(0, EFD_NONBLOCK);
-  if (accept_epoll_ < 0 || accept_wake_ < 0) {
-    const bool ok = Fail(error, "epoll/eventfd");
-    CloseFds();
-    return ok;
-  }
+  if (accept_epoll_ < 0 || accept_wake_ < 0) return fail("epoll/eventfd");
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.fd = listen_fd_;
@@ -371,11 +411,7 @@ bool AsyncServer::Impl::Start(std::string* error) {
   for (size_t i = 0; i < num_reactors; ++i) {
     const int epoll_fd = ::epoll_create1(0);
     const int wake_fd = ::eventfd(0, EFD_NONBLOCK);
-    if (epoll_fd < 0 || wake_fd < 0) {
-      const bool ok = Fail(error, "reactor epoll/eventfd");
-      CloseFds();
-      return ok;
-    }
+    if (epoll_fd < 0 || wake_fd < 0) return fail("reactor epoll/eventfd");
     epoll_event wake_ev{};
     wake_ev.events = EPOLLIN;
     wake_ev.data.fd = wake_fd;
@@ -448,14 +484,10 @@ void AsyncServer::Impl::CloseFds() {
 ServiceMetrics AsyncServer::Impl::MetricsSnapshot() const {
   ServiceMetrics m = service_->Metrics();
   HDIDX_DCHECK(m.shards.size() == queues_.size());
-  uint64_t shed_total = 0;
   for (size_t s = 0; s < queues_.size() && s < m.shards.size(); ++s) {
-    m.shards[s].queue_depth = queues_[s]->depth();
-    m.shards[s].peak_queue_depth = queues_[s]->peak_depth();
-    m.shards[s].shed = queues_[s]->shed();
-    shed_total += m.shards[s].shed;
+    queues_[s]->ReadGauges(&m.shards[s]);
+    m.shed_total += m.shards[s].shed;
   }
-  m.shed_total = shed_total;
   return m;
 }
 
@@ -547,27 +579,41 @@ void AsyncServer::Impl::WorkerLoop(size_t shard) {
   ShardQueue& queue = *queues_[shard];
   QueueItem item;
   while (queue.Pop(&item)) {
-    // Decode here, off the reactor. The frame boundary was already sound
-    // (NextFrame accepted it), so a decode failure only poisons this
-    // request: report against its id and leave the connection serving.
-    // Per-shard FIFO keeps the error in admission order relative to the
-    // connection's other predicts.
-    RequestLine request;
-    std::string error;
-    if (!wire::DecodeRequest(item.header, item.payload, &request, &error)) {
-      SendFromWorker(item.conn, wire::EncodeErrorFrame(item.header.id, error));
-    } else {
-      const ServiceResponse response =
-          service_->ServeOnShard(shard, request.predict);
-      served_.fetch_add(1, std::memory_order_relaxed);
-      SendFromWorker(item.conn,
-                     wire::EncodePredictResponse(response,
-                                                 request.predict.per_query));
-    }
+    SendFromWorker(item.conn, item.request != nullptr
+                                  ? ServeJson(shard, *item.request)
+                                  : ServeWire(shard, item));
     queue.FinishItem();
     // Drop the connection reference before blocking on the next item.
     item = QueueItem{};
   }
+}
+
+std::string AsyncServer::Impl::ServeWire(size_t shard, const QueueItem& item) {
+  // Decode here, off the reactor. The frame boundary was already sound
+  // (NextFrame accepted it), so a decode failure only poisons this
+  // request: report against its id and leave the connection serving.
+  // Per-shard FIFO keeps the error in admission order relative to the
+  // connection's other predicts.
+  RequestLine request;
+  std::string error;
+  if (!wire::DecodeRequest(item.header, item.payload, &request, &error)) {
+    return wire::EncodeErrorFrame(item.header.id, error);
+  }
+  return wire::EncodePredictResponse(Serve(shard, request.predict),
+                                     request.predict.per_query);
+}
+
+std::string AsyncServer::Impl::ServeJson(size_t shard,
+                                         const ServiceRequest& request) {
+  return SerializePredictResponse(Serve(shard, request), request.per_query) +
+         "\n";
+}
+
+ServiceResponse AsyncServer::Impl::Serve(size_t shard,
+                                         const ServiceRequest& request) {
+  ServiceResponse response = service_->ServeOnShard(shard, request);
+  served_.fetch_add(1, std::memory_order_relaxed);
+  return response;
 }
 
 void AsyncServer::Impl::HandleInbox(Reactor& r) {
@@ -616,29 +662,34 @@ void AsyncServer::Impl::ReadConnection(
 
 void AsyncServer::Impl::ProcessInbound(
     Reactor& r, const std::shared_ptr<Connection>& conn) {
+  if (conn->framing == Framing::kUnknown) {
+    conn->framing =
+        conn->inbound.front() == '{' ? Framing::kJson : Framing::kWire;
+  }
+  const size_t consumed = conn->framing == Framing::kJson
+                              ? ProcessJsonLines(r, conn)
+                              : ProcessFrames(r, conn);
+  if (consumed > 0) conn->inbound.erase(0, consumed);
+}
+
+size_t AsyncServer::Impl::ProcessFrames(
+    Reactor& r, const std::shared_ptr<Connection>& conn) {
   size_t offset = 0;
-  bool poisoned = false;
-  bool done = false;
-  while (!done) {
+  while (true) {
     wire::FrameHeader header;
     std::string_view payload;
     std::string error;
     size_t consumed = 0;
     const std::string_view rest(conn->inbound.data() + offset,
                                 conn->inbound.size() - offset);
-    const wire::FrameStatus status =
-        wire::NextFrame(rest, options_.max_frame_payload, &consumed, &header,
-                        &payload, &error);
-    switch (status) {
+    switch (wire::NextFrame(rest, options_.max_frame_payload, &consumed,
+                            &header, &payload, &error)) {
       case wire::FrameStatus::kNeedMore:
-        done = true;
-        break;
+        return offset;
       case wire::FrameStatus::kFrame:
         offset += consumed;
         HandleFrame(r, conn, header, payload);
-        if (r.conns.count(conn->fd) == 0 || IsClosed(conn)) {
-          done = true;
-        }
+        if (Gone(r, conn)) return offset;
         break;
       case wire::FrameStatus::kError:
         // Framing is lost: answer with one protocol-error frame and close
@@ -646,15 +697,37 @@ void AsyncServer::Impl::ProcessInbound(
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
         ReactorSend(r, conn, wire::EncodeErrorFrame(0, error),
                     /*close_after=*/true);
-        poisoned = true;
-        done = true;
-        break;
+        return conn->inbound.size();
     }
   }
-  if (poisoned) {
-    conn->inbound.clear();
-  } else if (offset > 0) {
-    conn->inbound.erase(0, offset);
+}
+
+size_t AsyncServer::Impl::ProcessJsonLines(
+    Reactor& r, const std::shared_ptr<Connection>& conn) {
+  const std::string& in = conn->inbound;
+  size_t offset = 0;
+  while (true) {
+    const size_t newline = in.find('\n', offset);
+    const size_t length =
+        (newline == std::string::npos ? in.size() : newline) - offset;
+    if (length > options_.max_frame_payload) {
+      // The same bound as a binary frame's payload: past it the line is
+      // not buffered further, so the stream is abandoned.
+      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      ReactorSend(r, conn,
+                  SerializeErrorLine(
+                      "line exceeds " +
+                      std::to_string(options_.max_frame_payload) + " bytes") +
+                      "\n",
+                  /*close_after=*/true);
+      return in.size();
+    }
+    if (newline == std::string::npos) return offset;
+    const std::string line = in.substr(offset, length);
+    offset = newline + 1;
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    HandleJsonLine(r, conn, line);
+    if (Gone(r, conn)) return offset;
   }
 }
 
@@ -666,9 +739,7 @@ void AsyncServer::Impl::HandleFrame(Reactor& r,
       (header.flags & wire::kFlagResponse) == 0) {
     // Predicts are the hot path: the reactor peeks only the routing key
     // and hands the still-encoded frame to the shard worker, which decodes
-    // before serving. Admission control stays here so shed responses are
-    // deterministic under backpressure (a full queue answers immediately,
-    // in arrival order, regardless of worker progress).
+    // before serving.
     std::string dataset;
     if (!wire::PeekPredictDataset(payload, &dataset)) {
       // Too short to carry a routing key — no shard to decode it on, so
@@ -678,17 +749,10 @@ void AsyncServer::Impl::HandleFrame(Reactor& r,
                                          "malformed predict payload"));
       return;
     }
-    const size_t shard = service_->registry().ShardOf(dataset);
     QueueItem item;
-    item.conn = conn;
     item.header = header;
     item.payload = std::string(payload);
-    if (!queues_[shard]->TryPush(std::move(item))) {
-      ReactorSend(r, conn,
-                  wire::EncodeShedResponse(header.id,
-                                           static_cast<uint32_t>(shard),
-                                           options_.retry_after_ms));
-    }
+    Admit(r, conn, dataset, header.id, std::move(item));
     return;
   }
   // Control-plane ops (load/stats/shutdown) are rare and tiny: decode and
@@ -701,19 +765,68 @@ void AsyncServer::Impl::HandleFrame(Reactor& r,
     ReactorSend(r, conn, wire::EncodeErrorFrame(header.id, error));
     return;
   }
+  HandleControl(r, conn, header.id, request);
+}
+
+void AsyncServer::Impl::HandleJsonLine(
+    Reactor& r, const std::shared_ptr<Connection>& conn,
+    const std::string& line) {
+  RequestLine request;
+  std::string error;
+  if (!ParseRequestLine(line, &request, &error)) {
+    // A line boundary is always sound, so the session continues.
+    ReactorSend(r, conn, SerializeErrorLine(error) + "\n");
+    return;
+  }
+  if (request.op != RequestLine::Op::kPredict) {
+    HandleControl(r, conn, 0, request);
+    return;
+  }
+  const uint64_t sequence = conn->next_json_id++;
+  if (!request.has_id) request.predict.id = sequence;
+  QueueItem item;
+  item.request = std::make_unique<ServiceRequest>(std::move(request.predict));
+  const ServiceRequest& predict = *item.request;
+  Admit(r, conn, predict.dataset, predict.id, std::move(item));
+}
+
+void AsyncServer::Impl::Admit(Reactor& r,
+                              const std::shared_ptr<Connection>& conn,
+                              const std::string& dataset, uint64_t id,
+                              QueueItem&& item) {
+  // Admission control stays on the reactor so shed responses are
+  // deterministic under backpressure (a full queue answers immediately,
+  // in arrival order, regardless of worker progress). `dataset` may live
+  // inside `item`, so it is read before the push hands `item` to a worker.
+  const size_t shard = service_->registry().ShardOf(dataset);
+  item.conn = conn;
+  if (queues_[shard]->TryPush(std::move(item))) return;
+  ReactorSend(r, conn,
+              conn->framing == Framing::kJson
+                  ? SerializeShedResponse(id, shard, options_.retry_after_ms) +
+                        "\n"
+                  : wire::EncodeShedResponse(id, static_cast<uint32_t>(shard),
+                                             options_.retry_after_ms));
+}
+
+void AsyncServer::Impl::HandleControl(
+    Reactor& r, const std::shared_ptr<Connection>& conn, uint64_t id,
+    const RequestLine& request) {
   switch (request.op) {
     case RequestLine::Op::kPredict:
-      // Unreachable: predicts took the peek-and-enqueue path above.
+      // Unreachable: both framings admit predicts before getting here.
       break;
     case RequestLine::Op::kLoad:
-      HandleLoad(r, conn, header.id, request);
+      HandleLoad(r, conn, id, request);
       break;
     case RequestLine::Op::kStats:
       ReactorSend(r, conn,
-                  wire::EncodeStatsResponse(header.id, MetricsSnapshot()));
+                  conn->framing == Framing::kJson
+                      ? SerializeMetrics(MetricsSnapshot()) + "\n"
+                      : wire::EncodeStatsResponse(id, MetricsSnapshot()));
       break;
     case RequestLine::Op::kShutdown:
-      HandleShutdown(r, conn, header.id);
+      HandleShutdown(r, conn, id);
       break;
   }
 }
@@ -749,7 +862,10 @@ void AsyncServer::Impl::HandleLoad(Reactor& r,
     }
     for (auto& queue : queues_) queue->Resume();
   }
-  ReactorSend(r, conn, wire::EncodeLoadResponse(id, result));
+  ReactorSend(r, conn,
+              conn->framing == Framing::kJson
+                  ? SerializeLoadResponse(result) + "\n"
+                  : wire::EncodeLoadResponse(id, result));
 }
 
 void AsyncServer::Impl::HandleShutdown(
@@ -768,8 +884,11 @@ void AsyncServer::Impl::HandleShutdown(
     for (auto& queue : queues_) queue->Resume();
     for (auto& queue : queues_) queue->WaitIdle();
   }
-  ReactorSend(r, conn, wire::EncodeShutdownResponse(
-                           id, served_.load(std::memory_order_relaxed)));
+  const uint64_t served = served_.load(std::memory_order_relaxed);
+  ReactorSend(r, conn,
+              conn->framing == Framing::kJson
+                  ? SerializeShutdownResponse(served) + "\n"
+                  : wire::EncodeShutdownResponse(id, served));
   Stop();
 }
 
@@ -814,19 +933,7 @@ void AsyncServer::Impl::FlushConnection(
   {
     common::MutexLock lock(&conn->mu);
     if (conn->closed) return;
-    while (conn->out_offset < conn->outbound.size()) {
-      const ssize_t n =
-          SendBytes(conn->fd, conn->outbound.data() + conn->out_offset,
-                    conn->outbound.size() - conn->out_offset);
-      if (n > 0) {
-        conn->out_offset += static_cast<size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      if (n < 0 && errno == EINTR) continue;
-      close_now = true;  // peer vanished mid-write
-      break;
-    }
+    close_now = !WriteOut(conn->fd, conn->outbound, &conn->out_offset);
     if (!close_now) {
       if (conn->out_offset == conn->outbound.size()) {
         conn->outbound.clear();
@@ -889,24 +996,15 @@ void AsyncServer::Impl::CleanupReactor(Reactor& r) {
   for (auto& [fd, conn] : r.conns) {
     common::MutexLock lock(&conn->mu);
     conn->closed = true;
-    int budget = kFlushPollRounds;
-    while (conn->out_offset < conn->outbound.size()) {
-      const ssize_t n =
-          SendBytes(fd, conn->outbound.data() + conn->out_offset,
-                    conn->outbound.size() - conn->out_offset);
-      if (n > 0) {
-        conn->out_offset += static_cast<size_t>(n);
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK) &&
-          budget > 0) {
-        --budget;
-        pollfd pfd{fd, POLLOUT, 0};
-        ::poll(&pfd, 1, kFlushPollMs);
-        continue;
-      }
-      break;  // peer vanished, or the grace budget is spent
+    // Stops when drained, when the peer vanished, or when the grace
+    // budget is spent.
+    for (int budget = kFlushPollRounds;
+         WriteOut(fd, conn->outbound, &conn->out_offset) &&
+         conn->out_offset < conn->outbound.size() &&
+         budget > 0;
+         --budget) {
+      pollfd pfd{fd, POLLOUT, 0};
+      ::poll(&pfd, 1, kFlushPollMs);
     }
     ::close(fd);
   }

@@ -23,7 +23,7 @@ struct AsyncServerOptions {
   size_t shard_queue_capacity = 64;
   /// Retry-after hint carried by load-shed responses.
   uint32_t retry_after_ms = 50;
-  /// Largest accepted frame payload.
+  /// Largest accepted binary frame payload, and longest accepted JSON line.
   size_t max_frame_payload = wire::kDefaultMaxPayload;
   /// Per-connection outbound high watermark: above this many buffered
   /// bytes the reactor stops reading the connection (pipelining
@@ -31,33 +31,42 @@ struct AsyncServerOptions {
   size_t write_buffer_limit = 4u << 20;
 };
 
-/// Epoll-based binary-protocol front-end over a PredictionService.
+/// Epoll-based front-end over a PredictionService — the service's one
+/// serving path.
+///
+/// Framing: a connection's first byte fixes how its bytes are framed. '{'
+/// means JSON lines (service/protocol.h): split on '\n', blank lines
+/// skipped, a line longer than max_frame_payload answered with an error
+/// line and the connection closed; a predict without "id" gets a
+/// per-connection running number from 1. Anything else means the binary
+/// wire protocol (service/wire.h), whose magic starts with 0x48. Both
+/// decode into the same RequestLine and share routing, admission, the
+/// shard queues, serving, load and shutdown; only the render differs.
 ///
 /// Architecture: one non-blocking acceptor thread round-robins incoming
 /// connections across `num_reactors` epoll event loops; reactors only read
-/// and frame requests (see wire.h) — for predicts they peek the leading
-/// dataset string to pick a shard and enqueue the still-encoded frame onto
-/// that shard's bounded queue, so payload decode runs on the shard worker,
-/// not the shared event loop. One worker thread per shard decodes, serves
-/// via PredictionService::ServeOnShard, and hands the encoded response back
-/// to the owning reactor to write. A well-framed payload that fails to
-/// decode on the worker is answered with a kError frame echoing the id,
-/// in per-shard FIFO order, and the connection keeps serving (the
-/// two-level error contract of wire.h is placement-invariant). Control
-/// ops (load/stats/shutdown) stay reactor-inline. Connections are fully
-/// pipelined: any number of in-flight requests, responses matched by frame
-/// id (responses may interleave across shards, not within one).
+/// and frame requests. A binary predict is routed by peeking its leading
+/// dataset string and enqueued still encoded, so its decode runs on the
+/// shard worker, not the shared event loop; a JSON predict is parsed on
+/// the reactor (its routing key is inside the text). One worker thread per
+/// shard serves via PredictionService::ServeOnShard and hands the rendered
+/// response back to the owning reactor to write. A request that fails to
+/// decode is answered with an error (a kError frame echoing the id, or an
+/// {"op":"error"} line) and the connection keeps serving. Control ops
+/// (load/stats/shutdown) stay reactor-inline. Connections are fully
+/// pipelined: responses are matched by id and may interleave across
+/// shards, not within one.
 ///
 /// Admission control: a predict that finds its shard queue full is
-/// answered immediately with a kFlagShed frame carrying retry_after_ms;
-/// queue depth, peak depth, and shed counts surface per shard through the
-/// stats op. A connection whose outbound buffer passes write_buffer_limit
-/// stops being read until it drains — slow readers throttle themselves,
-/// not the server.
+/// answered immediately with a shed response carrying retry_after_ms
+/// (a kFlagShed frame, or {"op":"predict","id":N,"ok":false,"shed":true,
+/// "shard":S,"retry_after_ms":M}); queue depth, peak depth, and shed
+/// counts surface per shard through the stats op. A connection whose
+/// outbound buffer passes write_buffer_limit stops being read until it
+/// drains — slow readers throttle themselves, not the server.
 ///
 /// The deterministic payload of every predict response is bit-identical
-/// to what the JSON transport would serve for the same request (the
-/// service's determinism contract; doubles travel as raw IEEE-754 bits).
+/// across framings (doubles travel as raw IEEE-754 bits on the wire).
 class AsyncServer {
  public:
   /// `service` must outlive the server.
@@ -77,7 +86,7 @@ class AsyncServer {
 
   /// Blocks until the server stops — via Stop() or a shutdown frame —
   /// then joins all threads. Returns the number of predict responses
-  /// served (shed responses excluded), matching the JSON loop's count.
+  /// served (shed responses excluded) over both framings.
   uint64_t Wait();
 
   /// Signals the server to stop; safe from any thread (including a

@@ -42,6 +42,15 @@ bool DatasetRegistry::Add(const std::string& name, data::Dataset dataset,
     if (error != nullptr) *error = "dataset is empty: " + name;
     return false;
   }
+  const size_t bad = data::FirstNonFinite(dataset.data());
+  if (bad != dataset.data().size()) {
+    if (error != nullptr) {
+      *error = "dataset " + name + " has a non-finite coordinate at point " +
+               std::to_string(bad / dataset.dim()) + ", dimension " +
+               std::to_string(bad % dataset.dim());
+    }
+    return false;
+  }
   datasets_[name] = std::make_unique<data::Dataset>(std::move(dataset));
   return true;
 }

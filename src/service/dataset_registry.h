@@ -22,9 +22,10 @@ namespace hdidx::service {
 /// arrival order. The assignment depends only on (name, num_shards) — never
 /// on load order — keeping routing reproducible across restarts.
 ///
-/// Thread-safety: registration (LoadFile/Add) must happen on the control
-/// thread between batches; Find() is safe to call concurrently from shard
-/// workers because entries are immutable once registered and never removed.
+/// Thread-safety: registration (LoadFile/Add) must happen while no request
+/// is being served (the async server quiesces its shard workers); Find()
+/// is safe to call concurrently from shard workers because entries are
+/// immutable once registered and never removed.
 class DatasetRegistry {
  public:
   /// Registry routing across `num_shards` shards (clamped to >= 1).
@@ -38,7 +39,8 @@ class DatasetRegistry {
                                  const std::string& path, std::string* error);
 
   /// Registers an in-memory dataset (tests, benchmarks). Same uniqueness
-  /// rule as LoadFile.
+  /// rule as LoadFile; a dataset with a NaN or infinite coordinate is
+  /// refused, whichever way it arrives.
   HDIDX_BUILD_ONLY bool Add(const std::string& name, data::Dataset dataset,
                             std::string* error);
 

@@ -1,7 +1,6 @@
 #ifndef HDIDX_SERVICE_PREDICTION_SERVICE_H_
 #define HDIDX_SERVICE_PREDICTION_SERVICE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -20,8 +19,8 @@ namespace hdidx::service {
 /// One prediction question: "what would a k-NN workload cost on an index
 /// over this dataset, predicted by this method under this memory budget?"
 struct ServiceRequest {
-  /// Caller-chosen identifier echoed in the response (the line protocol
-  /// assigns a running sequence number when absent).
+  /// Caller-chosen identifier echoed in the response (JSON framing assigns
+  /// a per-connection running number when absent).
   uint64_t id = 0;
   /// Name of a dataset registered with the service's DatasetRegistry.
   std::string dataset;
@@ -73,6 +72,8 @@ struct ServiceResponse {
 /// Point-in-time counters for monitoring.
 struct ServiceMetrics {
   uint64_t requests = 0;
+  /// Batch counters: requests are served one at a time, so both read 0.
+  /// They keep their slots in the stats frame and stats JSON.
   uint64_t batches = 0;
   uint64_t errors = 0;
   uint64_t result_hits = 0;
@@ -82,16 +83,18 @@ struct ServiceMetrics {
   uint64_t workload_misses = 0;
   uint64_t workload_evictions = 0;
   double mean_batch_size = 0.0;
-  /// Requests refused by async admission control (always 0 for the
-  /// synchronous ProcessBatch path; filled in by AsyncServer).
+  /// Requests refused by async admission control (filled in by
+  /// AsyncServer; 0 in PredictionService::Metrics()).
   uint64_t shed_total = 0;
 
   struct Shard {
     uint64_t requests = 0;
+    /// Latency percentiles estimated from a fixed-size log-bucketed
+    /// histogram (common::LogHistogram): exact to within one bucket.
     double p50_ms = 0.0;
     double p90_ms = 0.0;
     double p99_ms = 0.0;
-    /// Async admission-queue gauges (0 on the synchronous path).
+    /// Async admission-queue gauges (filled in by AsyncServer).
     size_t queue_depth = 0;
     size_t peak_queue_depth = 0;
     uint64_t shed = 0;
@@ -116,8 +119,10 @@ struct ServiceOptions {
 /// Datasets are partitioned across shards by the registry's stable hash;
 /// each shard owns a ThreadPool-backed ExecutionContext (threads split
 /// evenly) plus an LRU cache of built prediction results and generated
-/// workloads. ProcessBatch routes each request to its dataset's shard, runs
-/// the shards concurrently, and returns responses in request order.
+/// workloads. Requests are served one at a time per call to ServeOnShard,
+/// on the shard that owns the request's dataset; the async server
+/// (service/async_server.h) runs one worker per shard that makes those
+/// calls.
 ///
 /// Determinism contract: every response's `result` is derived only from the
 /// request fields and the registered dataset — workloads are seeded with
@@ -127,13 +132,11 @@ struct ServiceOptions {
 /// bits for 1, 2, or N shards, for any arrival order, and whether it was
 /// computed cold or returned from cache.
 ///
-/// Thread-safety: each shard's caches and latency records are guarded by a
-/// per-shard mutex, and the global counters are atomic, so ServeOnShard may
-/// be called concurrently from any number of threads (the async server's
-/// per-shard workers). ProcessBatch remains a single-control-thread batch
-/// front-end (its internal shard fan-out is the service's own). Registry
-/// mutation (LoadFile/Add) must still be externally quiesced against
-/// in-flight serving — see DatasetRegistry's phase contract.
+/// Thread-safety: each shard's caches and counters are guarded by a
+/// per-shard mutex, so ServeOnShard may be called concurrently from any
+/// number of threads. Registry mutation (LoadFile/Add) must be externally
+/// quiesced against in-flight serving — see DatasetRegistry's phase
+/// contract.
 class PredictionService {
  public:
   explicit PredictionService(const ServiceOptions& options);
@@ -148,19 +151,10 @@ class PredictionService {
   size_t num_shards() const { return shards_.size(); }
   size_t threads_per_shard() const;
 
-  /// Serves a batch: partitions requests per shard (preserving arrival
-  /// order within a shard), runs all shards concurrently, and returns one
-  /// response per request in the batch's original order.
-  std::vector<ServiceResponse> ProcessBatch(
-      const std::vector<ServiceRequest>& requests);
-
-  /// Convenience for single requests (a batch of one).
-  ServiceResponse Process(const ServiceRequest& request);
-
-  /// Serves one request directly on shard `shard_index`, which must be
-  /// `registry().ShardOf(request.dataset)` (checked). Safe to call
-  /// concurrently; does not count toward batch statistics. This is the
-  /// async server's entry point — one call per dequeued request.
+  /// Serves one request on shard `shard_index`, which must be
+  /// `registry().ShardOf(request.dataset)` (checked): validates it, returns
+  /// the cached result or computes and caches it, and records the shard's
+  /// request count and latency. Safe to call concurrently.
   ServiceResponse ServeOnShard(size_t shard_index,
                                const ServiceRequest& request);
 
@@ -173,19 +167,12 @@ class PredictionService {
  private:
   struct Shard;
 
-  /// Computes or retrieves the response for one request on shard
-  /// `shard_index` and records its latency (thread-safe).
-  ServiceResponse Serve(size_t shard_index, const ServiceRequest& request);
-
   /// The cache-or-compute body; takes the shard mutex only around cache
-  /// and latency accesses, never across a prediction.
+  /// accesses, never across a prediction.
   ServiceResponse Compute(Shard* shard, const ServiceRequest& request);
 
   DatasetRegistry registry_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> errors_{0};
 };
 
 }  // namespace hdidx::service

@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "common/check.h"
+#include "service/wire.h"
 
 namespace hdidx::service {
 
@@ -350,6 +351,38 @@ std::string SerializeMetrics(const ServiceMetrics& metrics) {
   }
   out += "]}";
   return CheckedOneLine(out);
+}
+
+std::string SerializeLoadResponse(const wire::LoadResult& result) {
+  std::string out = "{\"op\":\"load\"";
+  out += result.ok ? ",\"ok\":true" : ",\"ok\":false";
+  out += ",\"dataset\":" + JsonQuote(result.dataset);
+  if (result.ok) {
+    out += ",\"points\":" + std::to_string(result.points);
+    out += ",\"dims\":" + std::to_string(result.dims);
+    out += ",\"shard\":" + std::to_string(result.shard);
+  } else {
+    out += ",\"error\":" + JsonQuote(result.error);
+  }
+  out.push_back('}');
+  return CheckedOneLine(out);
+}
+
+std::string SerializeShutdownResponse(uint64_t served) {
+  return "{\"op\":\"shutdown\",\"ok\":true,\"served\":" +
+         std::to_string(served) + "}";
+}
+
+std::string SerializeErrorLine(const std::string& error) {
+  return CheckedOneLine("{\"op\":\"error\",\"ok\":false,\"error\":" +
+                        JsonQuote(error) + "}");
+}
+
+std::string SerializeShedResponse(uint64_t id, size_t shard,
+                                  uint32_t retry_after_ms) {
+  return "{\"op\":\"predict\",\"id\":" + std::to_string(id) +
+         ",\"ok\":false,\"shed\":true,\"shard\":" + std::to_string(shard) +
+         ",\"retry_after_ms\":" + std::to_string(retry_after_ms) + "}";
 }
 
 }  // namespace hdidx::service

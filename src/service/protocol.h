@@ -1,6 +1,8 @@
 #ifndef HDIDX_SERVICE_PROTOCOL_H_
 #define HDIDX_SERVICE_PROTOCOL_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 
@@ -8,12 +10,16 @@
 
 namespace hdidx::service {
 
-/// The service's wire format: one JSON object per line, over stdin/stdout.
-///
-/// Requests are *flat* objects (string/number/bool values only; nesting is
-/// rejected with a parse error) — responses may contain nested objects and
-/// arrays, so a picky client can still parse them with a full JSON parser
-/// while the server side stays dependency-free.
+namespace wire {
+struct LoadResult;
+}  // namespace wire
+
+/// The service's JSON framing: one flat JSON object per line, on the same
+/// socket server as the binary wire protocol (service/async_server.h picks
+/// the framing by a connection's first byte). Requests are *flat* objects
+/// (nesting is rejected); responses may nest, so a picky client can still
+/// parse them with a full JSON parser while the server stays
+/// dependency-free.
 ///
 /// Request ops:
 ///   {"op":"load","dataset":"d1","path":"/data/d1.hdx"}
@@ -25,15 +31,14 @@ namespace hdidx::service {
 ///
 /// Every numeric request field is optional and defaults to the
 /// ServiceRequest defaults; "dataset" is required for load/predict, "path"
-/// for load. Consecutive predict lines form one batch, flushed by a blank
-/// line, a non-predict op, or end of input.
+/// for load. Each request line gets one response line.
 ///
 /// The predict response nests the deterministic payload under "result":
 ///   {"op":"predict","id":7,"ok":true,"cache":"hit","shard":0,
 ///    "served_seeks":0,"served_transfers":0,"result":{...}}
 /// Everything outside "result" is serving metadata; the "result" object is
 /// bit-identical for a given request regardless of shard count, arrival
-/// order, or cache state (doubles are printed with %.17g, which
+/// order, cache state, or framing (doubles are printed with %.17g, which
 /// round-trips IEEE doubles exactly).
 
 /// A scalar JSON value as the flat parser produces it.
@@ -80,6 +85,19 @@ std::string SerializePredictResponse(const ServiceResponse& response,
 
 /// Serializes a metrics snapshot as a stats response line.
 std::string SerializeMetrics(const ServiceMetrics& metrics);
+
+/// The load response line: dataset, and points/dims/shard or the error.
+std::string SerializeLoadResponse(const wire::LoadResult& result);
+
+/// The shutdown acknowledgement, carrying the number of predicts served.
+std::string SerializeShutdownResponse(uint64_t served);
+
+/// The response to a request line that does not parse.
+std::string SerializeErrorLine(const std::string& error);
+
+/// The response to a predict refused by admission control.
+std::string SerializeShedResponse(uint64_t id, size_t shard,
+                                  uint32_t retry_after_ms);
 
 /// Escapes a string for embedding in JSON output (adds the quotes).
 std::string JsonQuote(const std::string& s);

@@ -1,6 +1,9 @@
 #include "common/stats.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -77,6 +80,50 @@ TEST(StatsTest, PercentileInterpolatesOrderStatistics) {
   std::vector<double> ten;
   for (int i = 1; i <= 10; ++i) ten.push_back(i);
   EXPECT_DOUBLE_EQ(Percentile(ten, 0.9), 9.1);
+}
+
+TEST(LogHistogramTest, PercentilesLandWithinOneBucketOfExact) {
+  // A latency-like sequence: a dense body between 0.05 and 5 ms (cache
+  // hits) plus a 5% tail between 20 and 300 ms (cold computes), in a
+  // scrambled order.
+  std::vector<double> values;
+  LogHistogram histogram;
+  for (uint64_t i = 0; i < 20000; ++i) {
+    const double u = static_cast<double>((i * 7919) % 20011) / 20011.0;
+    const double v = i % 20 == 0 ? 20.0 + 280.0 * u : 0.05 + 4.95 * u * u;
+    values.push_back(v);
+    histogram.Add(v);
+  }
+  EXPECT_EQ(histogram.count(), values.size());
+  for (const double p : {0.5, 0.9, 0.99}) {
+    const double exact = Percentile(values, p);
+    const double estimate = histogram.Percentile(p);
+    const auto exact_bucket =
+        static_cast<long>(LogHistogram::BucketOf(exact));
+    const auto estimate_bucket =
+        static_cast<long>(LogHistogram::BucketOf(estimate));
+    EXPECT_LE(std::abs(exact_bucket - estimate_bucket), 1)
+        << "p" << p << ": exact " << exact << ", estimate " << estimate;
+  }
+  // The extremes are tracked exactly.
+  EXPECT_EQ(histogram.Percentile(0.0), Percentile(values, 0.0));
+  EXPECT_EQ(histogram.Percentile(1.0), Percentile(values, 1.0));
+}
+
+TEST(LogHistogramTest, EmptyTinyAndHugeValues) {
+  LogHistogram histogram;
+  EXPECT_EQ(histogram.Percentile(0.5), 0.0);
+  histogram.Add(0.0);
+  histogram.Add(-3.0);  // counted as 0
+  EXPECT_EQ(histogram.count(), 2u);
+  EXPECT_EQ(histogram.Percentile(0.99), 0.0);
+  histogram.Add(1e12);  // past the last bucket's lower bound
+  EXPECT_EQ(LogHistogram::BucketOf(1e12), LogHistogram::kNumBuckets - 1);
+  EXPECT_EQ(histogram.Percentile(1.0), 1e12);
+  // Buckets are contiguous and ordered.
+  EXPECT_EQ(LogHistogram::BucketOf(LogHistogram::kMinValue / 2), 0u);
+  EXPECT_EQ(LogHistogram::BucketOf(LogHistogram::kMinValue), 1u);
+  EXPECT_LT(LogHistogram::BucketOf(1.0), LogHistogram::BucketOf(1.5));
 }
 
 TEST(StatsTest, RelativeErrorSignConvention) {

@@ -127,10 +127,11 @@ TEST(ConcurrencyStressTest, PerWorkerKeyedCaches) {
   });
 }
 
-// The full service under batching pressure: shards run concurrently inside
-// ProcessBatch, each owning its caches and ExecutionContext. Every batch
-// must reproduce the single-shard serial reference bit for bit, cold or
-// cached, in any arrival order.
+// The full service under concurrent serving: many threads call
+// ServeOnShard at once, several on the same shard (its caches and
+// ExecutionContext shared), in different arrival orders, with a cache
+// small enough to evict under load. Every response must reproduce the
+// single-shard serial reference bit for bit, cold or cached.
 TEST(ConcurrencyStressTest, ServiceBatchingStaysBitIdentical) {
   service::ServiceOptions reference_options;
   reference_options.num_shards = 1;
@@ -170,26 +171,39 @@ TEST(ConcurrencyStressTest, ServiceBatchingStaysBitIdentical) {
       batch.push_back(request(name, s));
     }
   }
-  const std::vector<service::ServiceResponse> expected =
-      reference.ProcessBatch(batch);
+  std::vector<std::string> expected;
+  for (const service::ServiceRequest& r : batch) {
+    const service::ServiceResponse response = reference.ServeOnShard(0, r);
+    ASSERT_TRUE(response.ok) << response.error;
+    expected.push_back(service::SerializeResult(response, /*per_query=*/true));
+  }
 
-  for (size_t round = 0; round < 6; ++round) {
-    // Rotate arrival order every round; responses come back in batch order,
-    // so rotate the expectation the same way.
-    std::rotate(batch.begin(), batch.begin() + 1, batch.end());
-    const std::vector<service::ServiceResponse> responses =
-        service.ProcessBatch(batch);
-    ASSERT_EQ(responses.size(), batch.size());
-    for (size_t i = 0; i < responses.size(); ++i) {
-      const size_t e = (i + round + 1) % expected.size();
-      ASSERT_TRUE(responses[i].ok) << responses[i].error;
-      EXPECT_EQ(service::SerializeResult(responses[i], /*per_query=*/true),
-                service::SerializeResult(expected[e], /*per_query=*/true));
-    }
+  // Each thread walks the batch from its own starting offset.
+  constexpr size_t kThreads = 6;
+  std::vector<size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const size_t e = (i + t) % batch.size();
+        const service::ServiceRequest& r = batch[e];
+        const service::ServiceResponse response = service.ServeOnShard(
+            service.registry().ShardOf(r.dataset), r);
+        if (!response.ok ||
+            service::SerializeResult(response, /*per_query=*/true) !=
+                expected[e]) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
   }
 
   const service::ServiceMetrics metrics = service.Metrics();
-  EXPECT_EQ(metrics.requests, 6u * batch.size());
+  EXPECT_EQ(metrics.requests, kThreads * batch.size());
   EXPECT_EQ(metrics.errors, 0u);
   // Cache bookkeeping tallies: every request either hit or missed.
   EXPECT_EQ(metrics.result_hits + metrics.result_misses, metrics.requests);

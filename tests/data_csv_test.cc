@@ -79,6 +79,19 @@ TEST(CsvTest, RejectsNonNumeric) {
   std::remove(path.c_str());
 }
 
+TEST(CsvTest, RejectsNonFiniteCoordinatesWithPathAndLine) {
+  // strtof accepts these spellings; the loader must not, or NaN/inf rows
+  // reach the geometry as boxes that intersect nothing.
+  const std::string path = TempPath("nonfinite.csv");
+  for (const char* bad : {"nan", "-inf", "INF", "NaN"}) {
+    WriteFile(path, "1,2\n3,4\n5," + std::string(bad) + "\n");
+    std::string error;
+    EXPECT_FALSE(ReadCsv(path, CsvOptions{}, &error).has_value()) << bad;
+    EXPECT_EQ(error, path + ":3: non-finite coordinate '" + bad + "'");
+  }
+  std::remove(path.c_str());
+}
+
 TEST(CsvTest, RejectsEmptyFile) {
   const std::string path = TempPath("empty.csv");
   WriteFile(path, "");

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "common/random.h"
@@ -74,6 +75,18 @@ TEST(DatasetIoTest, TruncatedPayloadRejected) {
               static_cast<std::streamsize>(contents.size() / 2));
   }
   EXPECT_FALSE(ReadDataset(path, &error).has_value());
+  std::remove(path.c_str());
+}
+
+TEST(DatasetIoTest, NonFiniteCoordinatesRejected) {
+  common::Rng rng(3);
+  Dataset poisoned = GenerateUniform(20, 4, &rng);
+  poisoned.mutable_row(5)[1] = std::numeric_limits<float>::infinity();
+  const std::string path = TempPath("nonfinite.hdx");
+  std::string error;
+  ASSERT_TRUE(WriteDataset(poisoned, path, &error)) << error;
+  EXPECT_FALSE(ReadDataset(path, &error).has_value());
+  EXPECT_EQ(error, "non-finite coordinate at point 5, dimension 1 in " + path);
   std::remove(path.c_str());
 }
 

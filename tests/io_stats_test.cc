@@ -2,7 +2,6 @@
 
 #include "gtest/gtest.h"
 #include "io/disk_model.h"
-#include "io/lru_cache.h"
 
 namespace hdidx::io {
 namespace {
@@ -43,21 +42,6 @@ TEST(IoStatsDeathTest, CorruptedCounterIsCaughtAtConsumption) {
 TEST(IoStatsDeathTest, NegativeCountsAreCaughtByTheDiskModel) {
   const DiskModel disk;
   EXPECT_DEATH(disk.Seconds(-1.0, 4.0), "negative I/O counts");
-}
-
-// The LRU page cache charges exactly one seek and one transfer per miss, so
-// its tally always satisfies the audit — and its occupancy/bookkeeping
-// invariants hold through hits, misses, and evictions.
-TEST(IoStatsTest, LruCacheTallyStaysConsistent) {
-  LruCache cache(2);
-  for (const uint64_t page : {1u, 2u, 1u, 3u, 4u, 2u, 1u}) {
-    cache.Access(page);
-  }
-  cache.stats().Validate();
-  EXPECT_EQ(cache.stats().page_seeks, cache.stats().page_transfers);
-  EXPECT_EQ(cache.hits() + cache.misses(), 7u);
-  EXPECT_LE(cache.size(), cache.capacity());
-  EXPECT_GE(cache.misses(), cache.evictions() + cache.size());
 }
 
 }  // namespace

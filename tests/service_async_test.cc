@@ -12,6 +12,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -116,18 +117,20 @@ class WireClient {
         buffer_.erase(0, consumed);
         return true;
       }
-      char chunk[1 << 16];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        *error = std::string("recv: ") + std::strerror(errno);
-        return false;
+      if (!Fill(error)) return false;
+    }
+  }
+
+  /// Blocks until one whole JSON response line arrives (newline stripped).
+  bool ReadLine(std::string* line, std::string* error) {
+    while (true) {
+      const size_t newline = buffer_.find('\n');
+      if (newline != std::string::npos) {
+        line->assign(buffer_, 0, newline);
+        buffer_.erase(0, newline + 1);
+        return true;
       }
-      if (n == 0) {
-        *error = "closed";
-        return false;
-      }
-      buffer_.append(chunk, static_cast<size_t>(n));
+      if (!Fill(error)) return false;
     }
   }
 
@@ -147,6 +150,26 @@ class WireClient {
   }
 
  private:
+  /// Appends the next chunk from the socket; false on timeout, transport
+  /// error, or peer close ("closed").
+  bool Fill(std::string* error) {
+    while (true) {
+      char chunk[1 << 16];
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        *error = std::string("recv: ") + std::strerror(errno);
+        return false;
+      }
+      if (n == 0) {
+        *error = "closed";
+        return false;
+      }
+      buffer_.append(chunk, static_cast<size_t>(n));
+      return true;
+    }
+  }
+
   int fd_ = -1;
   std::string buffer_;
 };
@@ -182,24 +205,113 @@ std::vector<ServiceRequest> BatteryRequests() {
   return requests;
 }
 
-/// Serialized `result` payloads by request id, as the JSON transport
-/// serves them — the cross-transport reference.
-std::map<uint64_t, std::string> JsonReference(
-    const std::vector<ServiceRequest>& requests) {
-  auto svc = MakeService(1);
-  std::map<uint64_t, std::string> reference;
-  for (const ServiceResponse& response : svc->ProcessBatch(requests)) {
-    EXPECT_TRUE(response.ok) << response.error;
-    reference[response.id] = SerializeResult(response, /*per_query=*/true);
+/// Golden `result` objects of the battery by request id, captured from the
+/// stdin line-protocol server that served JSON before the socket framing
+/// (1, 2 and 4 shards gave identical bytes). Every framing must reproduce
+/// them byte for byte.
+constexpr char kBatteryGolden[] = R"golden(1	{"avg_leaf_accesses":6.3200000000000003,"num_queries":25,"num_predicted_leaves":108,"h_upper":0,"sigma_upper":0.16666666666666666,"sigma_lower":1,"io_seeks":0,"io_transfers":0,"per_query":[7,4,6,2,4,7,7,6,3,7,10,1,6,5,10,3,18,12,6,4,6,5,9,6,4]}
+2	{"avg_leaf_accesses":5.6399999999999997,"num_queries":25,"num_predicted_leaves":108,"h_upper":0,"sigma_upper":0.16666666666666666,"sigma_lower":1,"io_seeks":0,"io_transfers":0,"per_query":[5,7,3,7,7,5,6,9,4,7,3,4,5,8,2,6,4,4,5,2,6,7,14,6,5]}
+3	{"avg_leaf_accesses":3.4399999999999999,"num_queries":25,"num_predicted_leaves":108,"h_upper":2,"sigma_upper":0.16666666666666666,"sigma_lower":1,"io_seeks":26,"io_transfers":119,"per_query":[1,2,1,7,2,1,1,3,2,1,2,3,1,4,2,2,40,2,1,2,2,1,1,1,1]}
+4	{"avg_leaf_accesses":4.5999999999999996,"num_queries":25,"num_predicted_leaves":108,"h_upper":2,"sigma_upper":0.16666666666666666,"sigma_lower":1,"io_seeks":26,"io_transfers":119,"per_query":[8,2,4,1,4,2,4,2,2,1,1,2,2,2,4,2,2,2,1,2,1,2,55,3,4]}
+5	{"avg_leaf_accesses":7.5999999999999996,"num_queries":25,"num_predicted_leaves":108,"h_upper":2,"sigma_upper":0.16666666666666666,"sigma_lower":1,"io_seeks":88,"io_transfers":459,"per_query":[6,5,5,6,5,9,6,11,5,11,6,5,5,5,7,9,30,13,5,5,5,5,7,8,6]}
+6	{"avg_leaf_accesses":8.1199999999999992,"num_queries":25,"num_predicted_leaves":108,"h_upper":2,"sigma_upper":0.16666666666666666,"sigma_lower":1,"io_seeks":88,"io_transfers":460,"per_query":[6,12,4,5,6,7,10,10,7,10,7,6,6,8,6,7,6,5,9,4,5,7,30,9,11]}
+7	{"avg_leaf_accesses":8.0800000000000001,"num_queries":25,"num_predicted_leaves":108,"h_upper":0,"sigma_upper":0.16666666666666666,"sigma_lower":1,"io_seeks":0,"io_transfers":0,"per_query":[20,6,7,13,3,10,6,6,7,7,7,10,7,10,7,8,9,7,5,5,6,8,8,5,15]}
+8	{"avg_leaf_accesses":7.0800000000000001,"num_queries":25,"num_predicted_leaves":108,"h_upper":0,"sigma_upper":0.16666666666666666,"sigma_lower":1,"io_seeks":0,"io_transfers":0,"per_query":[6,9,3,5,7,2,13,6,5,12,5,8,7,12,12,7,5,5,6,11,6,8,3,9,5]}
+9	{"avg_leaf_accesses":4.3600000000000003,"num_queries":25,"num_predicted_leaves":108,"h_upper":2,"sigma_upper":0.16666666666666666,"sigma_lower":1,"io_seeks":26,"io_transfers":119,"per_query":[75,1,1,3,1,2,4,1,1,1,1,2,1,1,1,2,1,2,1,1,1,1,1,2,1]}
+10	{"avg_leaf_accesses":1.6000000000000001,"num_queries":25,"num_predicted_leaves":108,"h_upper":2,"sigma_upper":0.16666666666666666,"sigma_lower":1,"io_seeks":26,"io_transfers":119,"per_query":[4,1,1,1,1,1,2,3,2,1,2,1,2,1,2,1,1,4,1,2,2,1,1,1,1]}
+11	{"avg_leaf_accesses":8.0399999999999991,"num_queries":25,"num_predicted_leaves":108,"h_upper":2,"sigma_upper":0.16666666666666666,"sigma_lower":1,"io_seeks":88,"io_transfers":457,"per_query":[29,3,9,12,3,6,10,6,6,3,4,14,4,4,4,6,9,6,9,11,11,8,6,7,11]}
+12	{"avg_leaf_accesses":7.4000000000000004,"num_queries":25,"num_predicted_leaves":108,"h_upper":2,"sigma_upper":0.16666666666666666,"sigma_lower":1,"io_seeks":88,"io_transfers":461,"per_query":[5,7,5,7,6,5,4,9,5,11,10,7,8,8,10,13,10,6,5,9,7,5,3,15,5]}
+13	{"avg_leaf_accesses":5.5599999999999996,"num_queries":25,"num_predicted_leaves":108,"h_upper":0,"sigma_upper":0.16666666666666666,"sigma_lower":1,"io_seeks":0,"io_transfers":0,"per_query":[6,4,6,7,5,5,8,6,5,7,4,5,6,6,3,4,5,6,8,4,4,8,6,5,6]}
+14	{"avg_leaf_accesses":6.6399999999999997,"num_queries":25,"num_predicted_leaves":108,"h_upper":0,"sigma_upper":0.16666666666666666,"sigma_lower":1,"io_seeks":0,"io_transfers":0,"per_query":[1,8,5,8,4,7,6,3,5,5,8,4,12,4,8,8,8,6,6,13,7,8,5,5,12]}
+15	{"avg_leaf_accesses":1.6000000000000001,"num_queries":25,"num_predicted_leaves":108,"h_upper":2,"sigma_upper":0.16666666666666666,"sigma_lower":1,"io_seeks":26,"io_transfers":119,"per_query":[3,1,1,2,1,1,2,2,2,1,2,1,1,1,5,3,1,1,2,1,1,1,1,2,1]}
+16	{"avg_leaf_accesses":2.1600000000000001,"num_queries":25,"num_predicted_leaves":108,"h_upper":2,"sigma_upper":0.16666666666666666,"sigma_lower":1,"io_seeks":26,"io_transfers":119,"per_query":[4,2,2,2,2,2,1,2,1,1,2,1,5,1,1,1,2,1,1,6,2,4,1,2,5]}
+17	{"avg_leaf_accesses":6.5999999999999996,"num_queries":25,"num_predicted_leaves":108,"h_upper":2,"sigma_upper":0.16666666666666666,"sigma_lower":1,"io_seeks":88,"io_transfers":460,"per_query":[8,3,3,7,5,8,7,8,9,8,8,7,7,7,6,5,6,8,6,5,6,6,6,10,6]}
+18	{"avg_leaf_accesses":7.5999999999999996,"num_queries":25,"num_predicted_leaves":108,"h_upper":2,"sigma_upper":0.16666666666666666,"sigma_lower":1,"io_seeks":88,"io_transfers":460,"per_query":[3,10,12,12,7,11,6,5,6,7,9,3,6,3,5,7,6,8,6,10,11,12,8,7,10]}
+)golden";
+
+std::map<uint64_t, std::string> BatteryGolden() {
+  std::map<uint64_t, std::string> golden;
+  std::istringstream in(kBatteryGolden);
+  std::string line;
+  while (std::getline(in, line)) {
+    const size_t tab = line.find('\t');
+    golden[std::stoull(line.substr(0, tab))] = line.substr(tab + 1);
   }
-  return reference;
+  return golden;
+}
+
+/// A JSON predict line carrying every field of `r`.
+std::string JsonPredictLine(const ServiceRequest& r) {
+  return "{\"op\":\"predict\",\"id\":" + std::to_string(r.id) +
+         ",\"dataset\":" + JsonQuote(r.dataset) +
+         ",\"method\":" + JsonQuote(r.method) +
+         ",\"memory\":" + std::to_string(r.memory) +
+         ",\"num_queries\":" + std::to_string(r.num_queries) +
+         ",\"k\":" + std::to_string(r.k) +
+         ",\"seed\":" + std::to_string(r.seed) +
+         ",\"page_bytes\":" + std::to_string(r.page_bytes) +
+         ",\"per_query\":" + (r.per_query ? "true" : "false") + "}\n";
+}
+
+/// The "id" of a JSON response line (0 when absent).
+uint64_t JsonId(const std::string& line) {
+  const size_t pos = line.find("\"id\":");
+  return pos == std::string::npos ? 0 : std::stoull(line.substr(pos + 5));
+}
+
+/// The "result" object of a JSON predict response line.
+std::string JsonResult(const std::string& line) {
+  const std::string key = ",\"result\":";
+  const size_t pos = line.find(key);
+  if (pos == std::string::npos || line.back() != '}') return "";
+  return line.substr(pos + key.size(),
+                     line.size() - pos - key.size() - 1);
+}
+
+/// Serves `requests` pipelined over a JSON-lines connection to a fresh
+/// `shards`-shard server and returns each `result` object by id.
+std::map<uint64_t, std::string> JsonResults(
+    size_t shards, const std::vector<ServiceRequest>& requests) {
+  auto svc = MakeService(shards);
+  AsyncServer server(svc.get(), AsyncServerOptions{});
+  std::string error;
+  EXPECT_TRUE(server.Start(&error)) << error;
+  WireClient client;
+  EXPECT_TRUE(client.Connect(server.port()));
+  std::string lines;
+  for (const ServiceRequest& r : requests) lines += JsonPredictLine(r);
+  EXPECT_TRUE(client.Send(lines));
+  std::map<uint64_t, std::string> results;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    std::string line;
+    if (!client.ReadLine(&line, &error)) {
+      ADD_FAILURE() << error;
+      break;
+    }
+    EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+    results[JsonId(line)] = JsonResult(line);
+  }
+  EXPECT_TRUE(client.Send("{\"op\":\"shutdown\"}\n"));
+  std::string ack;
+  EXPECT_TRUE(client.ReadLine(&ack, &error)) << error;
+  EXPECT_EQ(ack, "{\"op\":\"shutdown\",\"ok\":true,\"served\":" +
+                     std::to_string(requests.size()) + "}");
+  EXPECT_EQ(server.Wait(), requests.size());
+  return results;
 }
 
 TEST(AsyncServerTest, BinaryMatchesJsonAcrossShardCountsPipelined) {
   const std::vector<ServiceRequest> requests = BatteryRequests();
-  const std::map<uint64_t, std::string> reference = JsonReference(requests);
+  const std::map<uint64_t, std::string> reference = BatteryGolden();
+  ASSERT_EQ(reference.size(), requests.size());
 
   for (const size_t shards : {1, 2, 4}) {
+    // JSON framing: every result object is the golden one, byte for byte.
+    EXPECT_EQ(JsonResults(shards, requests), reference)
+        << shards << " shards";
+
+    // Binary framing on a fresh server: the decoded replies re-serialize
+    // to the same bytes.
     auto svc = MakeService(shards);
     AsyncServerOptions options;
     options.num_reactors = 2;
@@ -242,7 +354,7 @@ TEST(AsyncServerTest, BinaryMatchesJsonAcrossShardCountsPipelined) {
 
 TEST(AsyncServerTest, BinaryMatchesJsonSerialAndShuffled) {
   std::vector<ServiceRequest> requests = BatteryRequests();
-  const std::map<uint64_t, std::string> reference = JsonReference(requests);
+  const std::map<uint64_t, std::string> reference = BatteryGolden();
 
   // Deterministically shuffled arrival order, strictly serial exchanges
   // (send one, read one) — the other extreme from the pipelined test.
@@ -257,6 +369,9 @@ TEST(AsyncServerTest, BinaryMatchesJsonSerialAndShuffled) {
   WireClient client;
   ASSERT_TRUE(client.Connect(server.port()));
 
+  WireClient json_client;
+  ASSERT_TRUE(json_client.Connect(server.port()));
+
   for (const ServiceRequest& r : requests) {
     ASSERT_TRUE(client.Send(wire::EncodePredictRequest(r)));
     wire::FrameHeader header;
@@ -269,8 +384,16 @@ TEST(AsyncServerTest, BinaryMatchesJsonSerialAndShuffled) {
     EXPECT_EQ(reply.response.id, r.id);  // serial: in-order by construction
     EXPECT_EQ(SerializeResult(reply.response, reply.per_query),
               reference.at(r.id));
+
+    // The same request as a JSON line on a second connection to the same
+    // server (now a cache hit): the same result bytes.
+    ASSERT_TRUE(json_client.Send(JsonPredictLine(r)));
+    std::string line;
+    ASSERT_TRUE(json_client.ReadLine(&line, &error)) << error;
+    EXPECT_EQ(JsonId(line), r.id);
+    EXPECT_EQ(JsonResult(line), reference.at(r.id));
   }
-  EXPECT_EQ(ShutdownAndWait(&client, &server), requests.size());
+  EXPECT_EQ(ShutdownAndWait(&client, &server), 2 * requests.size());
 }
 
 TEST(AsyncServerTest, LoadStatsAndCacheHitsOverSocket) {
@@ -716,6 +839,247 @@ TEST(AsyncServerFuzzTest, RandomStreamsNeverCrashTheServer) {
       << error;
   EXPECT_TRUE(reply.response.ok) << reply.response.error;
   ShutdownAndWait(&client, &server);
+}
+
+TEST(AsyncServerTest, JsonShedLineCarriesShardAndRetryHint) {
+  auto svc = MakeService(1);
+  AsyncServerOptions options;
+  options.shard_queue_capacity = 1;
+  options.retry_after_ms = 25;
+  AsyncServer server(svc.get(), options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  WireClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+
+  // Parked workers, capacity 1: the first predict is admitted, the second
+  // is shed at once with the JSON shed line.
+  server.PauseServingForTest();
+  ASSERT_TRUE(client.Send(JsonPredictLine(Req("alpha", "mini", 1, 1)) +
+                          JsonPredictLine(Req("alpha", "mini", 2, 2))));
+  std::string line;
+  ASSERT_TRUE(client.ReadLine(&line, &error)) << error;
+  EXPECT_EQ(line,
+            "{\"op\":\"predict\",\"id\":2,\"ok\":false,\"shed\":true,"
+            "\"shard\":0,\"retry_after_ms\":25}");
+
+  server.ResumeServingForTest();
+  ASSERT_TRUE(client.ReadLine(&line, &error)) << error;
+  EXPECT_EQ(JsonId(line), 1u);
+  EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+
+  ASSERT_TRUE(client.Send("{\"op\":\"shutdown\"}\n"));
+  ASSERT_TRUE(client.ReadLine(&line, &error)) << error;
+  EXPECT_EQ(line, "{\"op\":\"shutdown\",\"ok\":true,\"served\":1}");
+  EXPECT_EQ(server.Wait(), 1u);
+}
+
+TEST(AsyncServerTest, PageTooSmallForOneEntryIsAnErrorInBothFramings) {
+  auto svc = MakeService(1);
+  std::string error;
+  ASSERT_TRUE(svc->registry().Add("flat", testing::SmallClustered(500, 2, 5),
+                                  &error))
+      << error;
+  AsyncServer server(svc.get(), AsyncServerOptions{});
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  // 8 bytes hold one 2-d point (12 bytes) not even once, let alone two
+  // directory entries (2 * 20 bytes): refused, not silently clamped.
+  ServiceRequest tiny = Req("flat", "mini", 1, 7);
+  tiny.page_bytes = 8;
+
+  WireClient binary;
+  ASSERT_TRUE(binary.Connect(server.port()));
+  ASSERT_TRUE(binary.Send(wire::EncodePredictRequest(tiny)));
+  wire::FrameHeader header;
+  std::string payload;
+  ASSERT_TRUE(binary.Read(&header, &payload, &error)) << error;
+  wire::PredictReply reply;
+  ASSERT_TRUE(wire::DecodePredictResponse(header, payload, &reply, &error))
+      << error;
+  EXPECT_FALSE(reply.response.ok);
+  EXPECT_NE(reply.response.error.find("page_bytes 8"), std::string::npos)
+      << reply.response.error;
+
+  WireClient json;
+  ASSERT_TRUE(json.Connect(server.port()));
+  ASSERT_TRUE(json.Send(JsonPredictLine(tiny)));
+  std::string line;
+  ASSERT_TRUE(json.ReadLine(&line, &error)) << error;
+  EXPECT_NE(line.find("\"ok\":false"), std::string::npos) << line;
+  EXPECT_EQ(JsonResult(line), SerializeResult(reply.response, false));
+
+  // The smallest page that fits is served.
+  tiny.page_bytes = 40;
+  ASSERT_TRUE(json.Send(JsonPredictLine(tiny)));
+  ASSERT_TRUE(json.ReadLine(&line, &error)) << error;
+  EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+
+  EXPECT_EQ(ShutdownAndWait(&binary, &server), 3u);
+}
+
+TEST(ServerLoopTest, JsonSessionServesAndShutsDownCleanly) {
+  ServiceOptions options;
+  options.num_shards = 2;
+  options.total_threads = 2;
+  PredictionService svc(options);
+  std::string error;
+  ASSERT_TRUE(svc.registry().Add(
+      "d", testing::SmallClustered(1200, 6, 21), &error))
+      << error;
+  AsyncServer server(&svc, AsyncServerOptions{});
+  ASSERT_TRUE(server.Start(&error)) << error;
+  WireClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+
+  // page_bytes=1024 keeps the tree height >= 3 at this size; method mini
+  // works regardless. No "id": the connection numbers predicts from 1.
+  const std::string first =
+      "{\"op\":\"predict\",\"dataset\":\"d\",\"method\":\"mini\","
+      "\"memory\":200,\"num_queries\":10,\"k\":3,\"page_bytes\":1024}\n";
+  const std::string second =
+      "{\"op\":\"predict\",\"dataset\":\"d\",\"method\":\"mini\","
+      "\"memory\":300,\"num_queries\":10,\"k\":3,\"page_bytes\":1024}\n";
+  std::string line;
+  // Blank lines are skipped, not answered.
+  ASSERT_TRUE(client.Send(first + "\n  \r\n" + second));
+  for (const uint64_t expected_id : {1, 2}) {
+    ASSERT_TRUE(client.ReadLine(&line, &error)) << error;
+    EXPECT_EQ(JsonId(line), expected_id) << line;  // one shard: FIFO
+    EXPECT_NE(line.find("\"cache\":\"miss\""), std::string::npos) << line;
+  }
+
+  // A repeat of the first request is a cache hit, numbered 3.
+  ASSERT_TRUE(client.Send(first));
+  ASSERT_TRUE(client.ReadLine(&line, &error)) << error;
+  EXPECT_EQ(JsonId(line), 3u);
+  EXPECT_NE(line.find("\"cache\":\"hit\""), std::string::npos) << line;
+
+  // A bad line is answered with an error line; the session continues.
+  ASSERT_TRUE(client.Send("this is not json\n"));
+  ASSERT_TRUE(client.ReadLine(&line, &error)) << error;
+  EXPECT_EQ(line.rfind("{\"op\":\"error\",\"ok\":false,\"error\":", 0), 0u)
+      << line;
+
+  ASSERT_TRUE(client.Send("{\"op\":\"stats\"}\n"));
+  ASSERT_TRUE(client.ReadLine(&line, &error)) << error;
+  EXPECT_EQ(line.rfind("{\"op\":\"stats\",\"ok\":true,\"requests\":3,"
+                       "\"batches\":0,\"errors\":0,\"mean_batch_size\":0,"
+                       "\"result_cache\":{\"hits\":1,",
+                       0),
+            0u)
+      << line;
+
+  ASSERT_TRUE(client.Send("{\"op\":\"shutdown\"}\n"));
+  ASSERT_TRUE(client.ReadLine(&line, &error)) << error;
+  EXPECT_EQ(line, "{\"op\":\"shutdown\",\"ok\":true,\"served\":3}");
+  EXPECT_EQ(server.Wait(), 3u);
+
+  const ServiceMetrics metrics = svc.Metrics();
+  EXPECT_EQ(metrics.requests, 3u);
+  EXPECT_EQ(metrics.batches, 0u);
+  EXPECT_EQ(metrics.result_hits, 1u);
+}
+
+TEST(ServerLoopTest, LoadOpLoadsFromDiskOnce) {
+  ServiceOptions options;
+  PredictionService svc(options);
+  const std::string path =
+      ::testing::TempDir() + "/service_protocol_load.hdx";
+  std::string error;
+  ASSERT_TRUE(data::WriteDataset(testing::SmallClustered(400, 5, 33), path,
+                                 &error))
+      << error;
+  AsyncServer server(&svc, AsyncServerOptions{});
+  ASSERT_TRUE(server.Start(&error)) << error;
+  WireClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+
+  const std::string load = "{\"op\":\"load\",\"dataset\":\"disk\",\"path\":" +
+                           JsonQuote(path) + "}\n";
+  std::string line;
+  ASSERT_TRUE(client.Send(load));
+  ASSERT_TRUE(client.ReadLine(&line, &error)) << error;
+  EXPECT_EQ(line, "{\"op\":\"load\",\"ok\":true,\"dataset\":\"disk\","
+                  "\"points\":400,\"dims\":5,\"shard\":0}");
+  // The second load of the same name is refused: datasets load once.
+  ASSERT_TRUE(client.Send(load));
+  ASSERT_TRUE(client.ReadLine(&line, &error)) << error;
+  EXPECT_EQ(line.rfind("{\"op\":\"load\",\"ok\":false,\"dataset\":\"disk\","
+                       "\"error\":",
+                       0),
+            0u)
+      << line;
+  EXPECT_NE(line.find("already registered"), std::string::npos) << line;
+
+  ASSERT_TRUE(client.Send("{\"op\":\"shutdown\"}\n"));
+  ASSERT_TRUE(client.ReadLine(&line, &error)) << error;
+  EXPECT_EQ(line, "{\"op\":\"shutdown\",\"ok\":true,\"served\":0}");
+  EXPECT_EQ(server.Wait(), 0u);
+  EXPECT_EQ(svc.registry().size(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(AsyncServerFuzzTest, JsonLeadingStreamsNeverCrashTheServer) {
+  auto svc = MakeService(2);
+  AsyncServerOptions options;
+  options.max_frame_payload = 1024;
+  AsyncServer server(svc.get(), options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  // '{' fixes the JSON framing; what follows is seeded garbage split into
+  // lines. Every complete line is answered with an error line and the
+  // session lives on.
+  common::Rng rng(20261019);
+  for (int iter = 0; iter < 20; ++iter) {
+    WireClient attacker;
+    ASSERT_TRUE(attacker.Connect(server.port()));
+    std::string bytes = "{";
+    const size_t len = 1 + rng.NextBounded(300);
+    for (size_t i = 0; i < len; ++i) {
+      bytes.push_back(rng.NextBounded(16) == 0
+                          ? '\n'
+                          : static_cast<char>(rng.NextBounded(256)));
+    }
+    ASSERT_TRUE(attacker.Send(bytes));
+    if (iter % 2 == 0) {
+      attacker.Close();  // abandon mid-exchange
+      continue;
+    }
+    // Terminate the last garbage line and ask for stats: every garbage
+    // line's answer precedes the stats line, and the stats line arrives.
+    ASSERT_TRUE(attacker.Send("\n{\"op\":\"stats\"}\n"));
+    std::string line;
+    do {
+      ASSERT_TRUE(attacker.ReadLine(&line, &error)) << error;
+    } while (line.rfind("{\"op\":\"stats\"", 0) != 0);
+  }
+
+  // An over-long line: one error line, then the server closes.
+  {
+    WireClient attacker;
+    ASSERT_TRUE(attacker.Connect(server.port()));
+    ASSERT_TRUE(attacker.Send("{" + std::string(2000, 'x')));
+    std::string line;
+    ASSERT_TRUE(attacker.ReadLine(&line, &error)) << error;
+    EXPECT_EQ(line,
+              "{\"op\":\"error\",\"ok\":false,\"error\":\"line exceeds 1024 "
+              "bytes\"}");
+    EXPECT_FALSE(attacker.ReadLine(&line, &error));
+    EXPECT_EQ(error, "closed");
+  }
+
+  WireClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  ASSERT_TRUE(client.Send(JsonPredictLine(Req("beta", "resampled", 2, 5))));
+  std::string line;
+  ASSERT_TRUE(client.ReadLine(&line, &error)) << error;
+  EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+  EXPECT_EQ(JsonId(line), 5u);
+  ASSERT_TRUE(client.Send("{\"op\":\"shutdown\"}\n"));
+  ASSERT_TRUE(client.ReadLine(&line, &error)) << error;
+  EXPECT_EQ(server.Wait(), 1u);
 }
 
 }  // namespace

@@ -1,13 +1,9 @@
 #include "service/protocol.h"
 
-#include <cstdio>
-#include <sstream>
 #include <string>
 
-#include "data/dataset_io.h"
 #include "gtest/gtest.h"
-#include "service/server.h"
-#include "test_util.h"
+#include "service/wire.h"
 
 namespace hdidx::service {
 namespace {
@@ -136,79 +132,29 @@ TEST(ProtocolSerializeTest, ResultPayloadIsSelfConsistent) {
   EXPECT_NE(full.find(SerializeResult(response, false)), std::string::npos);
 }
 
-TEST(ServerLoopTest, BatchesFlushAndShutdownCleanly) {
-  ServiceOptions options;
-  options.num_shards = 2;
-  options.total_threads = 2;
-  PredictionService svc(options);
-  std::string error;
-  ASSERT_TRUE(svc.registry().Add(
-      "d", testing::SmallClustered(1200, 6, 21), &error))
-      << error;
-
-  // Two predict lines batched, a blank-line flush, the same two again (now
-  // cache hits), stats, shutdown. page_bytes=1024 keeps the tree height
-  // >= 3 at this size; method mini works regardless.
-  const char* script =
-      "{\"op\":\"predict\",\"dataset\":\"d\",\"method\":\"mini\","
-      "\"memory\":200,\"num_queries\":10,\"k\":3,\"page_bytes\":1024}\n"
-      "{\"op\":\"predict\",\"dataset\":\"d\",\"method\":\"mini\","
-      "\"memory\":300,\"num_queries\":10,\"k\":3,\"page_bytes\":1024}\n"
-      "\n"
-      "{\"op\":\"predict\",\"dataset\":\"d\",\"method\":\"mini\","
-      "\"memory\":200,\"num_queries\":10,\"k\":3,\"page_bytes\":1024}\n"
-      "this is not json\n"
-      "{\"op\":\"stats\"}\n"
-      "{\"op\":\"shutdown\"}\n"
-      "{\"op\":\"predict\",\"dataset\":\"d\"}\n";  // after shutdown: ignored
-  std::istringstream in(script);
-  std::ostringstream out;
-  const size_t served = RunServer(in, out, &svc);
-  EXPECT_EQ(served, 3u);
-
-  const std::string output = out.str();
-  // Sequence ids assigned in arrival order; the third predict repeats the
-  // first request and must be served from cache.
-  EXPECT_NE(output.find("\"id\":1"), std::string::npos);
-  EXPECT_NE(output.find("\"id\":2"), std::string::npos);
-  EXPECT_NE(output.find("\"id\":3"), std::string::npos);
-  EXPECT_EQ(output.find("\"id\":4"), std::string::npos);
-  EXPECT_NE(output.find("\"cache\":\"hit\""), std::string::npos);
-  EXPECT_NE(output.find("\"op\":\"error\""), std::string::npos);
-  EXPECT_NE(output.find("\"op\":\"stats\""), std::string::npos);
-  EXPECT_NE(output.find("\"op\":\"shutdown\",\"ok\":true,\"served\":3"),
-            std::string::npos);
-  const ServiceMetrics metrics = svc.Metrics();
-  EXPECT_EQ(metrics.requests, 3u);
-  EXPECT_EQ(metrics.batches, 2u);
-  EXPECT_EQ(metrics.result_hits, 1u);
-}
-
-TEST(ServerLoopTest, LoadOpLoadsFromDiskOnce) {
-  ServiceOptions options;
-  PredictionService svc(options);
-  const data::Dataset dataset = testing::SmallClustered(400, 5, 33);
-  const std::string path =
-      ::testing::TempDir() + "/service_protocol_load.hdx";
-  std::string error;
-  ASSERT_TRUE(data::WriteDataset(dataset, path, &error)) << error;
-
-  std::istringstream in(
-      "{\"op\":\"load\",\"dataset\":\"disk\",\"path\":" + JsonQuote(path) +
-      "}\n"
-      "{\"op\":\"load\",\"dataset\":\"disk\",\"path\":" + JsonQuote(path) +
-      "}\n"
-      "{\"op\":\"shutdown\"}\n");
-  std::ostringstream out;
-  RunServer(in, out, &svc);
-  const std::string output = out.str();
-  EXPECT_NE(output.find("\"op\":\"load\",\"ok\":true,\"dataset\":\"disk\","
-                        "\"points\":400,\"dims\":5"),
-            std::string::npos);
-  // The second load of the same name is refused: datasets load once.
-  EXPECT_NE(output.find("already registered"), std::string::npos);
-  EXPECT_EQ(svc.registry().size(), 1u);
-  std::remove(path.c_str());
+TEST(ProtocolSerializeTest, ControlAndShedLines) {
+  wire::LoadResult loaded;
+  loaded.ok = true;
+  loaded.dataset = "d";
+  loaded.points = 400;
+  loaded.dims = 5;
+  loaded.shard = 1;
+  EXPECT_EQ(SerializeLoadResponse(loaded),
+            "{\"op\":\"load\",\"ok\":true,\"dataset\":\"d\",\"points\":400,"
+            "\"dims\":5,\"shard\":1}");
+  wire::LoadResult refused;
+  refused.dataset = "d";
+  refused.error = "dataset already registered: d";
+  EXPECT_EQ(SerializeLoadResponse(refused),
+            "{\"op\":\"load\",\"ok\":false,\"dataset\":\"d\","
+            "\"error\":\"dataset already registered: d\"}");
+  EXPECT_EQ(SerializeShutdownResponse(3),
+            "{\"op\":\"shutdown\",\"ok\":true,\"served\":3}");
+  EXPECT_EQ(SerializeErrorLine("expected '{'"),
+            "{\"op\":\"error\",\"ok\":false,\"error\":\"expected '{'\"}");
+  EXPECT_EQ(SerializeShedResponse(7, 2, 50),
+            "{\"op\":\"predict\",\"id\":7,\"ok\":false,\"shed\":true,"
+            "\"shard\":2,\"retry_after_ms\":50}");
 }
 
 }  // namespace

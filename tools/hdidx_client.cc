@@ -1,25 +1,22 @@
 // hdidx_client: batch client for hdidx_serve.
 //
-// Default transport: spawns the server (--serve "cmd"), reads the ready
-// line to learn the bound TCP port, then runs the session over the binary
-// wire protocol (src/service/wire.h) — load, a pipelined predict batch
-// (all request frames written before any response is read), an optional
-// warm repeat of the same batch that must be served from the mini-index
-// cache, stats, shutdown. With --json it appends --json to the server
-// command and speaks the legacy line protocol over the pipes instead; the
-// session, health checks, and summary line are identical either way.
+// Spawns the server (--serve "cmd"), reads the ready line to learn the
+// bound TCP port, then runs one session over a loopback socket — load, a
+// pipelined predict batch (all requests written before any response is
+// read), an optional warm repeat of the same batch that must be served
+// from the mini-index cache, stats, shutdown. By default the session
+// speaks the binary wire protocol (src/service/wire.h); with --json it
+// sends JSON lines (src/service/protocol.h) over the same socket instead.
+// The session, health checks, and summary line are identical either way.
 // Exits 0 only on a fully healthy session (all predictions ok, warm batch
 // hit the cache, clean shutdown), so CI can use it as a one-command smoke
-// test of either transport.
+// test of either framing.
 //
 // Usage:
 //   hdidx_client --serve "./hdidx_serve --shards 2" --data data.hdx
 //                [--dataset d] [--method resampled] [--memory 10000]
 //                [--k 10] [--queries 100] [--requests 4] [--seed 1]
-//                [--repeat true] [--json] [--emit]
-//
-// --emit prints the JSON request lines to stdout instead of spawning a
-// server (for manual piping: hdidx_client --emit ... | hdidx_serve --json).
+//                [--repeat true] [--json]
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -49,7 +46,7 @@ constexpr char kUsage[] =
     "usage: hdidx_client --serve CMD --data FILE [--dataset NAME]\n"
     "                    [--method mini|cutoff|resampled] [--memory M]\n"
     "                    [--k K] [--queries Q] [--requests R] [--seed S]\n"
-    "                    [--repeat BOOL] [--json] [--emit]\n";
+    "                    [--repeat BOOL] [--json]\n";
 
 struct SessionSpec {
   std::string dataset;
@@ -74,66 +71,47 @@ struct SessionTally {
   uint64_t with_prediction = 0;
 };
 
-std::vector<std::string> ComposeLines(const SessionSpec& spec) {
-  std::vector<std::string> lines;
-  lines.push_back("{\"op\":\"load\",\"dataset\":" + JsonQuote(spec.dataset) +
-                  ",\"path\":" + JsonQuote(spec.data_path) + "}");
-  const auto batch = [&](std::vector<std::string>* out) {
-    for (uint64_t i = 0; i < spec.requests; ++i) {
-      out->push_back(
-          "{\"op\":\"predict\",\"dataset\":" + JsonQuote(spec.dataset) +
-          ",\"method\":" + JsonQuote(spec.method) +
-          ",\"memory\":" + std::to_string(spec.memory) +
-          ",\"k\":" + std::to_string(spec.k) +
-          ",\"num_queries\":" + std::to_string(spec.queries) +
-          ",\"seed\":" + std::to_string(spec.seed + i) + "}");
-    }
-    out->push_back("");  // flush the batch
-  };
-  batch(&lines);
-  if (spec.repeat) batch(&lines);  // warm pass: must hit the cache
-  lines.push_back("{\"op\":\"stats\"}");
-  lines.push_back("{\"op\":\"shutdown\"}");
-  return lines;
+/// The predict requests of one pass, ids from `id_base`.
+std::vector<hdidx::service::ServiceRequest> PassRequests(
+    const SessionSpec& spec, uint64_t id_base) {
+  std::vector<hdidx::service::ServiceRequest> requests;
+  for (uint64_t i = 0; i < spec.requests; ++i) {
+    hdidx::service::ServiceRequest request;
+    request.id = id_base + i;
+    request.dataset = spec.dataset;
+    request.method = spec.method;
+    request.memory = spec.memory;
+    request.k = spec.k;
+    request.num_queries = spec.queries;
+    request.seed = spec.seed + i;
+    requests.push_back(request);
+  }
+  return requests;
 }
 
-/// Spawns `command` via /bin/sh with stdin/stdout piped; returns false on
+/// Spawns `command` via /bin/sh with stdout piped; returns false on
 /// fork/pipe failure.
-bool Spawn(const std::string& command, pid_t* pid, FILE** to_child,
-           FILE** from_child) {
-  int in_pipe[2];   // parent -> child
+bool Spawn(const std::string& command, pid_t* pid, FILE** from_child) {
   int out_pipe[2];  // child -> parent
-  if (pipe(in_pipe) != 0) return false;
-  if (pipe(out_pipe) != 0) {
-    close(in_pipe[0]);
-    close(in_pipe[1]);
-    return false;
-  }
+  if (pipe(out_pipe) != 0) return false;
   *pid = fork();
   if (*pid < 0) return false;
   if (*pid == 0) {
-    dup2(in_pipe[0], STDIN_FILENO);
     dup2(out_pipe[1], STDOUT_FILENO);
-    close(in_pipe[0]);
-    close(in_pipe[1]);
     close(out_pipe[0]);
     close(out_pipe[1]);
     execl("/bin/sh", "sh", "-c", command.c_str(), nullptr);
     std::perror("exec");
     _exit(127);
   }
-  close(in_pipe[0]);
   close(out_pipe[1]);
-  *to_child = fdopen(in_pipe[1], "w");
   *from_child = fdopen(out_pipe[0], "r");
-  return *to_child != nullptr && *from_child != nullptr;
+  return *from_child != nullptr;
 }
 
 bool Contains(const std::string& line, const char* needle) {
   return line.find(needle) != std::string::npos;
 }
-
-// --- wire transport -----------------------------------------------------
 
 /// Reads lines from the server's stdout until the ready line and parses
 /// the bound port out of it. Returns 0 on failure.
@@ -144,9 +122,7 @@ uint16_t ReadReadyPort(FILE* from_child) {
     if (!Contains(line, "\"op\":\"ready\"")) continue;
     const size_t pos = line.find("\"port\":");
     if (pos == std::string::npos) {
-      std::fprintf(stderr,
-                   "error: ready line has no port (server in --json "
-                   "mode?): %s",
+      std::fprintf(stderr, "error: ready line has no port: %s",
                    line.c_str());
       return 0;
     }
@@ -193,6 +169,28 @@ bool SendAll(int fd, std::string_view bytes) {
   return true;
 }
 
+/// Appends whatever the socket has next to `*buffer`; false on error or
+/// peer close.
+bool RecvMore(int fd, std::string* buffer, std::string* error) {
+  while (true) {
+    char chunk[1 << 16];
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      *error = std::string("recv: ") + std::strerror(errno);
+      return false;
+    }
+    if (n == 0) {
+      *error = "server closed the connection mid-message";
+      return false;
+    }
+    buffer->append(chunk, static_cast<size_t>(n));
+    return true;
+  }
+}
+
+// --- binary wire framing ------------------------------------------------
+
 /// Blocks until one whole frame is extracted from the connection. The
 /// payload is copied out so `*buffer` can keep accumulating.
 bool ReadFrame(int fd, std::string* buffer, wire::FrameHeader* header,
@@ -208,18 +206,7 @@ bool ReadFrame(int fd, std::string* buffer, wire::FrameHeader* header,
       buffer->erase(0, consumed);
       return true;
     }
-    char chunk[1 << 16];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      *error = std::string("recv: ") + std::strerror(errno);
-      return false;
-    }
-    if (n == 0) {
-      *error = "server closed the connection mid-frame";
-      return false;
-    }
-    buffer->append(chunk, static_cast<size_t>(n));
+    if (!RecvMore(fd, buffer, error)) return false;
   }
 }
 
@@ -269,8 +256,8 @@ bool TallyPredictReplies(int fd, std::string* buffer, uint64_t count,
   return true;
 }
 
-/// The wire-transport session: load, pipelined cold batch, optional warm
-/// batch, stats, shutdown. Returns false on transport failure (the tally
+/// The binary session: load, pipelined cold batch, optional warm batch,
+/// stats, shutdown. Returns false on transport failure (the tally
 /// still decides overall health).
 bool RunWireSession(int fd, const SessionSpec& spec, SessionTally* tally) {
   std::string buffer;
@@ -296,15 +283,7 @@ bool RunWireSession(int fd, const SessionSpec& spec, SessionTally* tally) {
   // same number of responses.
   const auto send_batch = [&](uint64_t id_base) {
     std::string frames;
-    for (uint64_t i = 0; i < spec.requests; ++i) {
-      hdidx::service::ServiceRequest request;
-      request.id = id_base + i;
-      request.dataset = spec.dataset;
-      request.method = spec.method;
-      request.memory = spec.memory;
-      request.k = spec.k;
-      request.num_queries = spec.queries;
-      request.seed = spec.seed + i;
+    for (const auto& request : PassRequests(spec, id_base)) {
       frames += wire::EncodePredictRequest(request);
     }
     return SendAll(fd, frames);
@@ -347,44 +326,90 @@ bool RunWireSession(int fd, const SessionSpec& spec, SessionTally* tally) {
   return true;
 }
 
-// --- json transport -----------------------------------------------------
+// --- JSON line framing --------------------------------------------------
 
-/// The legacy line-protocol session over the server's stdin/stdout pipes.
-void RunJsonSession(FILE* to_child, FILE* from_child,
-                    const std::vector<std::string>& lines,
-                    SessionTally* tally) {
-  // The whole session fits comfortably in the pipe buffer, so write it all
-  // up front, close, then drain responses.
-  for (const auto& line : lines) std::fprintf(to_child, "%s\n", line.c_str());
-  std::fclose(to_child);
+/// Blocks until one whole response line arrives (newline stripped).
+bool ReadLine(int fd, std::string* buffer, std::string* line,
+              std::string* error) {
+  while (true) {
+    const size_t newline = buffer->find('\n');
+    if (newline != std::string::npos) {
+      line->assign(*buffer, 0, newline);
+      buffer->erase(0, newline + 1);
+      return true;
+    }
+    if (!RecvMore(fd, buffer, error)) return false;
+  }
+}
 
-  char buffer[1 << 16];
-  while (std::fgets(buffer, sizeof(buffer), from_child) != nullptr) {
-    const std::string line(buffer);
-    if (Contains(line, "\"op\":\"ready\"")) {
-      continue;
-    } else if (Contains(line, "\"op\":\"load\"")) {
-      tally->load_ok = Contains(line, "\"ok\":true");
-      if (!tally->load_ok) {
-        std::fprintf(stderr, "load failed: %s", line.c_str());
+/// Sends one request line and reads its one response line.
+bool JsonExchange(int fd, std::string* buffer, const std::string& request,
+                  std::string* response) {
+  std::string error;
+  if (!SendAll(fd, request + "\n") ||
+      !ReadLine(fd, buffer, response, &error)) {
+    std::fprintf(stderr, "error: exchange failed: %s\n", error.c_str());
+    return false;
+  }
+  return true;
+}
+
+/// The JSON session: the binary session's steps, as lines on the socket.
+bool RunJsonSession(int fd, const SessionSpec& spec, SessionTally* tally) {
+  std::string buffer;
+  std::string line;
+  if (!JsonExchange(fd, &buffer,
+                    "{\"op\":\"load\",\"dataset\":" +
+                        JsonQuote(spec.dataset) +
+                        ",\"path\":" + JsonQuote(spec.data_path) + "}",
+                    &line)) {
+    return false;
+  }
+  tally->load_ok = Contains(line, "\"op\":\"load\"") &&
+                   Contains(line, "\"ok\":true");
+  if (!tally->load_ok) std::fprintf(stderr, "load failed: %s\n", line.c_str());
+
+  const auto run_batch = [&](uint64_t id_base) {
+    std::string lines;
+    for (const auto& r : PassRequests(spec, id_base)) {
+      lines += "{\"op\":\"predict\",\"id\":" + std::to_string(r.id) +
+               ",\"dataset\":" + JsonQuote(r.dataset) +
+               ",\"method\":" + JsonQuote(r.method) +
+               ",\"memory\":" + std::to_string(r.memory) +
+               ",\"k\":" + std::to_string(r.k) +
+               ",\"num_queries\":" + std::to_string(r.num_queries) +
+               ",\"seed\":" + std::to_string(r.seed) + "}\n";
+    }
+    if (!SendAll(fd, lines)) return false;
+    for (uint64_t i = 0; i < spec.requests; ++i) {
+      std::string error;
+      if (!ReadLine(fd, &buffer, &line, &error)) {
+        std::fprintf(stderr, "error: %s\n", error.c_str());
+        return false;
       }
-    } else if (Contains(line, "\"op\":\"predict\"")) {
-      if (Contains(line, "\"ok\":true")) {
+      if (Contains(line, "\"op\":\"predict\"") &&
+          Contains(line, "\"ok\":true")) {
         ++tally->predict_ok;
       } else {
         ++tally->predict_failed;
-        std::fprintf(stderr, "predict failed: %s", line.c_str());
+        std::fprintf(stderr, "predict failed: %s\n", line.c_str());
       }
       if (Contains(line, "\"cache\":\"hit\"")) ++tally->cache_hits;
       if (Contains(line, "\"avg_leaf_accesses\":")) ++tally->with_prediction;
-    } else if (Contains(line, "\"op\":\"stats\"")) {
-      std::printf("stats: %s", line.c_str());
-    } else if (Contains(line, "\"op\":\"shutdown\"")) {
-      tally->shutdown_ok = Contains(line, "\"ok\":true");
-    } else if (Contains(line, "\"op\":\"error\"")) {
-      std::fprintf(stderr, "protocol error: %s", line.c_str());
     }
+    return true;
+  };
+  if (!run_batch(1000)) return false;
+  if (spec.repeat && !run_batch(2000)) return false;
+
+  if (!JsonExchange(fd, &buffer, "{\"op\":\"stats\"}", &line)) return false;
+  std::printf("stats: %s\n", line.c_str());
+  if (!JsonExchange(fd, &buffer, "{\"op\":\"shutdown\"}", &line)) {
+    return false;
   }
+  tally->shutdown_ok = Contains(line, "\"op\":\"shutdown\"") &&
+                       Contains(line, "\"ok\":true");
+  return true;
 }
 
 }  // namespace
@@ -394,7 +419,7 @@ int main(int argc, char** argv) {
   const tools::Flags flags(argc, argv,
                            {"serve", "data", "dataset", "method", "memory",
                             "k", "queries", "requests", "seed", "repeat",
-                            "json", "emit"});
+                            "json"});
 
   SessionSpec spec;
   spec.dataset = flags.GetString("dataset", "d");
@@ -407,57 +432,40 @@ int main(int argc, char** argv) {
   spec.seed = flags.GetUint("seed", 1);
   spec.repeat = flags.GetString("repeat", "true") != "false";
   const bool json = flags.GetBool("json");
-  const bool emit = flags.GetBool("emit");
-  std::string serve_cmd = flags.GetString("serve", "");
+  const std::string serve_cmd = flags.GetString("serve", "");
   flags.ExitOnError(kUsage);
 
-  if (spec.data_path.empty() || (!emit && serve_cmd.empty())) {
+  if (spec.data_path.empty() || serve_cmd.empty()) {
     std::fprintf(stderr, "%s", kUsage);
     return 2;
   }
 
-  if (emit) {
-    for (const auto& line : ComposeLines(spec)) {
-      std::printf("%s\n", line.c_str());
-    }
-    return 0;
-  }
-
-  // The same --serve command works for both transports: the client flips
-  // the server into line-protocol mode itself.
-  if (json) serve_cmd += " --json";
-
   pid_t pid = -1;
-  FILE* to_child = nullptr;
   FILE* from_child = nullptr;
-  if (!Spawn(serve_cmd, &pid, &to_child, &from_child)) {
+  if (!Spawn(serve_cmd, &pid, &from_child)) {
     std::fprintf(stderr, "error: cannot spawn '%s'\n", serve_cmd.c_str());
     return 1;
   }
 
   SessionTally tally;
   bool transport_ok = true;
-  if (json) {
-    RunJsonSession(to_child, from_child, ComposeLines(spec), &tally);
+  const uint16_t port = ReadReadyPort(from_child);
+  const int fd = port != 0 ? ConnectLoopback(port) : -1;
+  if (fd < 0) {
+    if (port != 0) {
+      std::fprintf(stderr, "error: cannot connect to 127.0.0.1:%u\n",
+                   static_cast<unsigned>(port));
+    }
+    transport_ok = false;
   } else {
-    std::fclose(to_child);  // the wire server never reads stdin
-    const uint16_t port = ReadReadyPort(from_child);
-    const int fd = port != 0 ? ConnectLoopback(port) : -1;
-    if (fd < 0) {
-      if (port != 0) {
-        std::fprintf(stderr, "error: cannot connect to 127.0.0.1:%u\n",
-                     static_cast<unsigned>(port));
-      }
-      transport_ok = false;
-    } else {
-      transport_ok = RunWireSession(fd, spec, &tally);
-      close(fd);
-    }
-    // Drain anything else the server printed so it never blocks on a full
-    // stdout pipe before exiting.
-    char sink[1 << 12];
-    while (std::fgets(sink, sizeof(sink), from_child) != nullptr) {
-    }
+    transport_ok = json ? RunJsonSession(fd, spec, &tally)
+                        : RunWireSession(fd, spec, &tally);
+    close(fd);
+  }
+  // Drain anything else the server printed so it never blocks on a full
+  // stdout pipe before exiting.
+  char sink[1 << 12];
+  while (std::fgets(sink, sizeof(sink), from_child) != nullptr) {
   }
   std::fclose(from_child);
 

@@ -1,14 +1,12 @@
 // hdidx_serve: a long-running sharded prediction server.
 //
-// Default transport: the epoll-based async server speaking the
-// length-prefixed binary wire protocol over TCP (see src/service/wire.h,
-// src/service/async_server.h). On startup it prints one JSON ready line
-// carrying the bound port, then serves until a shutdown frame:
+// Serves over TCP through the epoll-based async server
+// (src/service/async_server.h). Each connection picks its framing with its
+// first byte: '{' starts line-delimited flat JSON (src/service/protocol.h),
+// anything else the length-prefixed binary wire protocol
+// (src/service/wire.h). On startup it prints one JSON ready line carrying
+// the bound port, then serves until a shutdown request:
 //   {"op":"ready","transport":"wire","port":43215,"shards":2,...}
-//
-// Debug transport: --json speaks the original line-delimited flat-JSON
-// protocol over stdin/stdout (see src/service/protocol.h) — handy for
-// manual sessions and `hdidx_client --json`.
 //
 // Usage:
 //   hdidx_serve [--shards 2] [--threads 8] [--cache-entries 64]
@@ -16,23 +14,21 @@
 //               [--preload name=path[,name=path...]]
 //               [--port 0] [--host 127.0.0.1] [--reactors 1]
 //               [--queue-capacity 64] [--retry-after-ms 50]
-//               [--json]
 //
 // Datasets are loaded once (at startup via --preload, or at runtime via a
 // load request) and pinned. --port 0 binds an ephemeral port — read it
 // from the ready line. --queue-capacity bounds each shard's admission
-// queue; predicts beyond it are answered with load-shed frames carrying
+// queue; predicts beyond it are answered with load-shed responses carrying
 // the --retry-after-ms hint.
 //
-// Example JSON session:
-//   $ hdidx_serve --shards 2 --json <<'EOF'
+// Example JSON session (any line-oriented socket tool works):
+//   $ hdidx_serve --shards 2 --port 7000 &
+//   $ nc 127.0.0.1 7000
 //   {"op":"load","dataset":"d","path":"data.hdx"}
 //   {"op":"predict","dataset":"d","method":"resampled","memory":1000,"k":5}
 //   {"op":"predict","dataset":"d","method":"resampled","memory":1000,"k":5}
-//
 //   {"op":"stats"}
 //   {"op":"shutdown"}
-//   EOF
 
 #include <cstdio>
 #include <iostream>
@@ -41,16 +37,13 @@
 #include "flags.h"
 #include "service/async_server.h"
 #include "service/prediction_service.h"
-#include "service/protocol.h"
-#include "service/server.h"
 
 constexpr char kUsage[] =
     "usage: hdidx_serve [--shards N] [--threads T] [--cache-entries E]\n"
     "                   [--workload-cache-entries E]\n"
     "                   [--preload name=path[,name=path...]]\n"
     "                   [--port P] [--host H] [--reactors R]\n"
-    "                   [--queue-capacity C] [--retry-after-ms MS]\n"
-    "                   [--json]\n";
+    "                   [--queue-capacity C] [--retry-after-ms MS]\n";
 
 int main(int argc, char** argv) {
   using namespace hdidx;
@@ -58,7 +51,7 @@ int main(int argc, char** argv) {
                            {"shards", "threads", "cache-entries",
                             "workload-cache-entries", "preload", "port",
                             "host", "reactors", "queue-capacity",
-                            "retry-after-ms", "json"});
+                            "retry-after-ms"});
 
   service::ServiceOptions options;
   options.num_shards = flags.GetUint("shards", 1);
@@ -67,7 +60,6 @@ int main(int argc, char** argv) {
   options.workload_cache_entries =
       flags.GetUint("workload-cache-entries", 32);
   const std::string preload = flags.GetString("preload", "");
-  const bool json = flags.GetBool("json");
   service::AsyncServerOptions async_options;
   async_options.host = flags.GetString("host", "127.0.0.1");
   async_options.port = static_cast<uint16_t>(flags.GetUint("port", 0));
@@ -102,16 +94,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (json) {
-    std::cout << "{\"op\":\"ready\",\"transport\":\"json\",\"shards\":"
-              << svc.num_shards()
-              << ",\"threads_per_shard\":" << svc.threads_per_shard()
-              << ",\"datasets\":" << svc.registry().size() << "}\n";
-    std::cout.flush();
-    service::RunServer(std::cin, std::cout, &svc);
-    return 0;
-  }
-
+  // Read before Start(): once reactors run, a load request may mutate the
+  // registry concurrently with this thread.
+  const size_t datasets = svc.registry().size();
   service::AsyncServer server(&svc, async_options);
   std::string error;
   if (!server.Start(&error)) {
@@ -121,7 +106,7 @@ int main(int argc, char** argv) {
   std::cout << "{\"op\":\"ready\",\"transport\":\"wire\",\"port\":"
             << server.port() << ",\"shards\":" << svc.num_shards()
             << ",\"threads_per_shard\":" << svc.threads_per_shard()
-            << ",\"datasets\":" << svc.registry().size() << "}\n";
+            << ",\"datasets\":" << datasets << "}\n";
   std::cout.flush();
   server.Wait();
   return 0;
