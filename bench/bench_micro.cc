@@ -501,6 +501,56 @@ BENCHMARK(BM_ExactKthScan)
     ->Apply(ModeDimSweep)
     ->Iterations(2000);
 
+// Workload generation end to end, single thread, at the repository
+// benchmark's shapes: d=16 is the clustered N=20000 warm-up set, d=60 the
+// texture60 N=4000 cold set; q=100 exact 10-NN radii each. The batched
+// modes run the query-tiled scan, which streams the rows once per tile of
+// kQueryTile queries; scalar runs the per-query oracle, once per query.
+void BM_WorkloadCreate(benchmark::State& state) {
+  namespace gk = geometry::kernels;
+  const auto mode = SweepMode(state);
+  if (!CheckSweepMode(state, mode)) return;
+  const size_t dim = static_cast<size_t>(state.range(1));
+  constexpr size_t kQueries = 100;
+  const data::Dataset data = [&] {
+    if (dim == 60) return data::Texture60Surrogate(4000, 3);
+    data::ClusteredConfig config;
+    config.num_points = 20000;
+    config.dim = dim;
+    common::Rng rng(3);
+    return data::GenerateClustered(config, &rng);
+  }();
+  const common::ExecutionContext serial(nullptr);
+  gk::SetKernelMode(mode);
+  double total_ns = 0.0;
+  for (auto _ : state) {
+    common::Rng rng(7);
+    const auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(
+        workload::QueryWorkload::Create(data, kQueries, 10, &rng, serial));
+    total_ns += std::chrono::duration<double, std::nano>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+  }
+  gk::ClearKernelModeOverride();
+  const double scans =
+      mode == gk::KernelMode::kScalar
+          ? static_cast<double>(kQueries)
+          : static_cast<double>((kQueries + gk::kQueryTile - 1) /
+                                gk::kQueryTile);
+  // Full row-major passes over the dataset (early abandoning touches less;
+  // this is the streamed upper bound).
+  const double bytes_per_iteration = scans *
+                                     static_cast<double>(data.size()) *
+                                     static_cast<double>(dim) * sizeof(float);
+  ReportKernelSweep(state, "workload_create_d" + std::to_string(dim), mode,
+                    total_ns, bytes_per_iteration);
+}
+BENCHMARK(BM_WorkloadCreate)
+    ->Apply(ModeDimSweep)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(20);
+
 // Slab construction cost — the one-off price a prediction pays before the
 // batched counting starts (transpose of all leaf MBRs into arena-backed SoA
 // planes). The transpose itself is mode-independent; sweeping the mode

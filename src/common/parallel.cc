@@ -130,11 +130,15 @@ void ThreadPool::RunChunks(uint32_t epoch, size_t num_chunks) {
     const uint32_t claim_epoch = static_cast<uint32_t>(claim >> 32);
     const size_t chunk = static_cast<size_t>(claim & 0xffffffffULL);
     if (claim_epoch != epoch) {
-      // A fresh job was published since our last claim (an old epoch can
-      // only surface after its job drained, and a publication can only
-      // follow a drain). The acquiring fetch_add synchronized with the
-      // publication's releasing store, so the job fields we read below are
-      // the new job's — serving its chunk here is valid work.
+      // A job was published since our last claim. Adopt it only if it is
+      // still the current job: the claim may come from a job that already
+      // drained, whose ParallelFor may be returning (nulling job_fn_) or
+      // publishing the next job's fields right now. Checking the epoch under
+      // mu_ orders this read after any such write; a stale claim is simply
+      // dropped, and the next claim sees the newer epoch, because
+      // publication stores claim_ under the same lock.
+      MutexLock lock(&mu_);
+      if (job_epoch_ != claim_epoch) continue;
       epoch = claim_epoch;
       num_chunks = num_chunks_;
     }

@@ -85,14 +85,16 @@ class ThreadPool {
   /// nested ParallelFor degrades to inline execution).
   static void RunTask(const std::function<void()>& task);
   /// Claims and runs chunks of the job published as `epoch` (which has
-  /// `num_chunks` chunks) until the claim counter moves past the job — or to
-  /// a newer epoch, whose chunks it then validly serves, having synchronized
-  /// with the newer publication through the acquiring claim.
+  /// `num_chunks` chunks) until the claim counter moves past the job. A
+  /// claim from a newer epoch is adopted only after checking under mu_ that
+  /// it is still the current job; a claim from a job that drained meanwhile
+  /// is dropped and claimed again, so a straggler never reads the next
+  /// job's fields while they are being written.
   ///
-  /// Reads the mu_-guarded job fields without holding mu_: the releasing
-  /// store of claim_ in ParallelFor publishes them, and the acquiring
-  /// fetch_add here synchronizes with that publication — a happens-before
-  /// edge the lock-based analysis cannot express, hence the opt-out.
+  /// Reads the mu_-guarded job fields of an adopted job without holding
+  /// mu_: the job cannot drain (and its fields cannot change) while this
+  /// thread holds one of its unfinished chunks — an invariant the
+  /// lock-based analysis cannot express, hence the opt-out.
   void RunChunks(uint32_t epoch, size_t num_chunks)
       HDIDX_NO_THREAD_SAFETY_ANALYSIS;
 
@@ -114,10 +116,10 @@ class ThreadPool {
   // are serialized, so there is at most one), written under mu_. A chunk is
   // claimed by a fetch_add on `claim_`, whose high 32 bits carry the job
   // epoch: a straggler from the previous job either sees its own epoch with
-  // an exhausted chunk index (and stops), or the new epoch (and, having
-  // synchronized with the publication through the acquire claim, validly
-  // executes the chunk it just claimed — see RunChunks). No claim is ever
-  // lost or run with stale job state.
+  // an exhausted chunk index (and stops), or a newer epoch, which it adopts
+  // only if that epoch is still job_epoch_ under mu_ (else the claim is
+  // stale and it claims again — see RunChunks). No chunk is ever lost, run
+  // twice, or run with stale job state.
   uint32_t job_epoch_ HDIDX_GUARDED_BY(mu_) = 0;
   const std::function<void(size_t, size_t)>* job_fn_ HDIDX_GUARDED_BY(mu_) =
       nullptr;

@@ -2,16 +2,18 @@
 #define HDIDX_GEOMETRY_ISA_BLOCK_OPS_H_
 
 #include <cstddef>
+#include <cstdint>
 
 #include "geometry/kernels.h"
 
 namespace hdidx::geometry::kernels::isa {
 
-/// Per-ISA implementations of the three block primitives every dispatching
-/// kernel entry point is built from. Each op processes exactly
-/// BoxSlab::kBlock lanes and must be bit-identical to the scalar oracle:
-/// lanes are whole candidates, SIMD runs *across* candidates, and every
-/// per-candidate reduction accumulates in scalar dimension order in double
+/// Per-ISA implementations of the block primitives every dispatching kernel
+/// entry point is built from. The slab and row ops process exactly
+/// BoxSlab::kBlock candidate lanes; the query-tile op processes kQueryTile
+/// query lanes. Every op must be bit-identical to the scalar oracle: lanes
+/// are whole candidates (or whole queries), SIMD runs *across* lanes, and
+/// every per-lane reduction accumulates in scalar dimension order in double
 /// with no FMA contraction. Early exits may fire at different block/lane
 /// granularity per ISA — they only ever skip work that is provably a no-op
 /// (sums of squares are monotone), so results never depend on the cadence.
@@ -40,7 +42,33 @@ struct BlockOps {
   /// threshold never abandons.
   bool (*row_block)(const float* query, const float* rows, size_t dim,
                     double threshold, double* acc);
+
+  /// The multi-query k-NN scan step. `tile` holds kQueryTile queries as
+  /// `dim` 64-byte-aligned planes of kQueryTile doubles: tile[d * kQueryTile
+  /// + l] = double(query l's coordinate d). Streams the row-major rows
+  /// [row, n) in order; for each row it accumulates (double(p[d]) -
+  /// tile[d][l])^2 in dimension order for every lane at once.
+  ///
+  /// Lanes run in fixed groups (one SIMD register each). After every 8
+  /// dimensions, and after the last, a group is abandoned once every lane
+  /// in it has a partial sum > thresholds[l] (ordered compare: a NaN partial
+  /// or threshold never abandons); an abandoned group stops accumulating.
+  /// Sums of squares only grow, so each abandoned lane's push would have
+  /// been a no-op. Returns the first row with a group left, with acc[l] the
+  /// full squared distance of every lane whose bit is set in *live, or n
+  /// when every remaining row was abandoned. The caller pushes the live
+  /// lanes, refreshes `thresholds`, and resumes at the next row. Unused
+  /// lanes carry threshold -inf, so they always vote to abandon.
+  size_t (*query_tile_scan)(const double* tile, const float* rows, size_t row,
+                            size_t n, size_t dim, const double* thresholds,
+                            double* acc, uint32_t* live);
 };
+
+/// The portable query_tile_scan body. Exposed so lanes that have no tuned
+/// version of the op (NEON) share it instead of duplicating it.
+size_t GenericQueryTileScan(const double* tile, const float* rows, size_t row,
+                            size_t n, size_t dim, const double* thresholds,
+                            double* acc, uint32_t* live);
 
 /// Portable batched implementation (plain C++, compiler-autovectorized).
 /// Always available; never returns null.

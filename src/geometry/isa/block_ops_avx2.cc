@@ -17,6 +17,7 @@
 #include <immintrin.h>
 
 #include <cstddef>
+#include <cstdint>
 
 namespace hdidx::geometry::kernels::isa {
 
@@ -24,6 +25,7 @@ namespace {
 
 constexpr size_t kBlock = BoxSlab::kBlock;
 static_assert(kBlock == 8, "AVX2 lanes assume 8-wide blocks");
+static_assert(kQueryTile == 16, "the query tile is four 256-bit registers");
 
 bool SphereBlock(const float* center, const BoxSlab& slab, size_t base,
                  double threshold, double* acc) {
@@ -115,7 +117,76 @@ bool RowBlock(const float* query, const float* rows, size_t dim,
   return true;
 }
 
-constexpr BlockOps kAvx2Ops = {&SphereBlock, &BoxBlock, &RowBlock};
+/// acc += (r - q)^2 per lane, r broadcast from one row coordinate.
+inline __m256d AddSquaredDiff(__m256d acc, __m256d r, const double* q) {
+  const __m256d diff = _mm256_sub_pd(r, _mm256_load_pd(q));
+  return _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
+}
+
+// Four groups of 4 lanes, one register each; a live group's accumulation
+// never depends on whether another group is still live.
+size_t QueryTileScan(const double* tile, const float* rows, size_t row,
+                     size_t n, size_t dim, const double* thresholds,
+                     double* acc, uint32_t* live) {
+  constexpr size_t kGroups = kQueryTile / 4;
+  __m256d thresh[kGroups];
+  for (size_t g = 0; g < kGroups; ++g) {
+    thresh[g] = _mm256_loadu_pd(thresholds + 4 * g);
+  }
+  for (; row < n; ++row) {
+    const float* p = rows + row * dim;
+    __m256d sums[kGroups];
+    bool group_live[kGroups];
+    for (size_t g = 0; g < kGroups; ++g) {
+      sums[g] = _mm256_setzero_pd();
+      group_live[g] = true;
+    }
+    bool any_live = true;
+    for (size_t d0 = 0; d0 < dim && any_live; d0 += 8) {
+      const size_t d_end = d0 + 8 < dim ? d0 + 8 : dim;
+      // One row coordinate against every live query: the row is read once
+      // per tile, not once per query.
+      if (group_live[0] && group_live[1] && group_live[2] && group_live[3]) {
+        for (size_t d = d0; d < d_end; ++d) {
+          const __m256d r = _mm256_set1_pd(static_cast<double>(p[d]));
+          const double* q = tile + d * kQueryTile;
+          for (size_t g = 0; g < kGroups; ++g) {
+            sums[g] = AddSquaredDiff(sums[g], r, q + 4 * g);
+          }
+        }
+      } else {
+        for (size_t g = 0; g < kGroups; ++g) {
+          if (!group_live[g]) continue;
+          for (size_t d = d0; d < d_end; ++d) {
+            const __m256d r = _mm256_set1_pd(static_cast<double>(p[d]));
+            sums[g] = AddSquaredDiff(sums[g], r, tile + d * kQueryTile + 4 * g);
+          }
+        }
+      }
+      any_live = false;
+      for (size_t g = 0; g < kGroups; ++g) {
+        group_live[g] =
+            group_live[g] &&
+            _mm256_movemask_pd(_mm256_cmp_pd(sums[g], thresh[g],
+                                             _CMP_GT_OQ)) != 0xF;
+        any_live |= group_live[g];
+      }
+    }
+    if (any_live) {
+      uint32_t mask = 0;
+      for (size_t g = 0; g < kGroups; ++g) {
+        _mm256_storeu_pd(acc + 4 * g, sums[g]);
+        if (group_live[g]) mask |= 0xFu << (4 * g);
+      }
+      *live = mask;
+      return row;
+    }
+  }
+  return n;
+}
+
+constexpr BlockOps kAvx2Ops = {&SphereBlock, &BoxBlock, &RowBlock,
+                               &QueryTileScan};
 
 }  // namespace
 

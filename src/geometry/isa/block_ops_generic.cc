@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 
 #include "geometry/isa/block_ops.h"
 
@@ -77,9 +78,57 @@ bool RowBlock(const float* query, const float* rows, size_t dim,
   return true;
 }
 
-constexpr BlockOps kGenericOps = {&SphereBlock, &BoxBlock, &RowBlock};
+constexpr BlockOps kGenericOps = {&SphereBlock, &BoxBlock, &RowBlock,
+                                  &GenericQueryTileScan};
 
 }  // namespace
+
+size_t GenericQueryTileScan(const double* tile, const float* rows, size_t row,
+                            size_t n, size_t dim, const double* thresholds,
+                            double* acc, uint32_t* live) {
+  // Groups of 4 lanes: narrow enough to abandon often, wide enough for the
+  // compiler to vectorize each group's update.
+  constexpr size_t kGroup = 4;
+  constexpr size_t kGroups = kQueryTile / kGroup;
+  for (; row < n; ++row) {
+    const float* p = rows + row * dim;
+    for (size_t l = 0; l < kQueryTile; ++l) acc[l] = 0.0;
+    bool group_live[kGroups];
+    for (size_t g = 0; g < kGroups; ++g) group_live[g] = true;
+    bool any_live = true;
+    for (size_t d0 = 0; d0 < dim && any_live; d0 += 8) {
+      const size_t d_end = std::min(dim, d0 + 8);
+      any_live = false;
+      for (size_t g = 0; g < kGroups; ++g) {
+        if (!group_live[g]) continue;
+        double* sums = acc + g * kGroup;
+        for (size_t d = d0; d < d_end; ++d) {
+          const double r = p[d];
+          const double* q = tile + d * kQueryTile + g * kGroup;
+          for (size_t l = 0; l < kGroup; ++l) {
+            const double diff = r - q[l];
+            sums[l] += diff * diff;
+          }
+        }
+        bool all_over = true;
+        for (size_t l = 0; l < kGroup; ++l) {
+          all_over &= sums[l] > thresholds[g * kGroup + l];
+        }
+        group_live[g] = !all_over;
+        any_live |= group_live[g];
+      }
+    }
+    if (any_live) {
+      uint32_t mask = 0;
+      for (size_t g = 0; g < kGroups; ++g) {
+        if (group_live[g]) mask |= 0xFu << (g * kGroup);
+      }
+      *live = mask;
+      return row;
+    }
+  }
+  return n;
+}
 
 const BlockOps* GenericOps() { return &kGenericOps; }
 

@@ -119,7 +119,10 @@ bool RowBlock(const float* query, const float* rows, size_t dim,
   return true;
 }
 
-constexpr BlockOps kNeonOps = {&SphereBlock, &BoxBlock, &RowBlock};
+// The query-tile scan has no NEON body: this TU is only cross-compiled, so
+// the lane runs the portable one rather than intrinsics nothing executes.
+constexpr BlockOps kNeonOps = {&SphereBlock, &BoxBlock, &RowBlock,
+                               &GenericQueryTileScan};
 
 }  // namespace
 

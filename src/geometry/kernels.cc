@@ -10,6 +10,7 @@
 #include <string_view>
 
 #include "common/check.h"
+#include "geometry/distance.h"
 #include "geometry/isa/block_ops.h"
 
 namespace hdidx::geometry::kernels {
@@ -595,6 +596,118 @@ double KthDistanceScan(std::span<const float> query,
   DistanceHeapAdapter heap(k);
   ScanRows(query, rows, dim, opts, ResolveKernelMode(mode), &heap);
   return heap.Threshold();
+}
+
+std::vector<size_t> GroupQueriesIntoTiles(std::span<const float> points,
+                                          size_t dim) {
+  HDIDX_CHECK(dim > 0);
+  HDIDX_CHECK(points.size() % dim == 0);
+  const size_t q = points.size() / dim;
+  constexpr size_t kWindow = 16 * kQueryTile;
+  std::vector<size_t> order;
+  order.reserve(q);
+  std::vector<std::pair<double, size_t>> candidates;
+  for (size_t window = 0; window < q; window += kWindow) {
+    const size_t window_end = std::min(q, window + kWindow);
+    std::vector<bool> placed(window_end - window, false);
+    for (size_t seed = window; seed < window_end; ++seed) {
+      if (placed[seed - window]) continue;
+      placed[seed - window] = true;
+      order.push_back(seed);
+      candidates.clear();
+      // Every unplaced query of the window lies past the seed: earlier ones
+      // were seeds themselves.
+      for (size_t j = seed + 1; j < window_end; ++j) {
+        if (placed[j - window]) continue;
+        const double d2 = SquaredL2(points.subspan(seed * dim, dim),
+                                    points.subspan(j * dim, dim));
+        // A NaN distance sorts last, keeping the comparator a strict order.
+        candidates.emplace_back(std::isnan(d2) ? kInf : d2, j);
+      }
+      const size_t take = std::min(kQueryTile - 1, candidates.size());
+      std::partial_sort(candidates.begin(), candidates.begin() + take,
+                        candidates.end());
+      for (size_t t = 0; t < take; ++t) {
+        placed[candidates[t].second - window] = true;
+        order.push_back(candidates[t].second);
+      }
+    }
+  }
+  return order;
+}
+
+void TiledKthDistanceScan(const QueryBatch& batch,
+                          std::span<const size_t> order,
+                          std::span<const float> rows, size_t dim, size_t k,
+                          std::span<double> out) {
+  TiledKthDistanceScan(batch, order, rows, dim, k, out, ActiveKernelMode());
+}
+
+void TiledKthDistanceScan(const QueryBatch& batch,
+                          std::span<const size_t> order,
+                          std::span<const float> rows, size_t dim, size_t k,
+                          std::span<double> out, KernelMode mode) {
+  HDIDX_CHECK(k > 0);
+  HDIDX_CHECK(dim > 0);
+  HDIDX_CHECK(rows.size() % dim == 0);
+  HDIDX_CHECK(batch.points.size() == batch.size() * dim);
+  HDIDX_CHECK(out.size() == batch.size());
+  for (const size_t i : order) HDIDX_CHECK(i < batch.size());
+  const auto query = [&](size_t i) {
+    return batch.points.subspan(i * dim, dim);
+  };
+  mode = ResolveKernelMode(mode);
+  if (mode == KernelMode::kScalar) {
+    for (const size_t i : order) {
+      ScanOptions opts;
+      opts.exclude_row = batch.exclude_rows[i];
+      opts.exclude_row_only_if_zero = batch.exclude_row_only_if_zero;
+      out[i] = KthDistanceScan(query(i), rows, dim, k, opts,
+                               KernelMode::kScalar);
+    }
+    return;
+  }
+
+  const isa::BlockOps* ops = OpsFor(mode);
+  const size_t n = rows.size() / dim;
+  // One 64-byte-aligned plane of kQueryTile doubles per dimension.
+  struct alignas(64) TilePlane {
+    std::array<double, kQueryTile> lane;
+  };
+  std::vector<TilePlane> tile(dim);
+  alignas(64) std::array<double, kQueryTile> thresholds;
+  alignas(64) std::array<double, kQueryTile> acc;
+  for (size_t first = 0; first < order.size(); first += kQueryTile) {
+    const std::span<const size_t> ids =
+        order.subspan(first, std::min(kQueryTile, order.size() - first));
+    for (size_t l = 0; l < kQueryTile; ++l) {
+      const float* p = l < ids.size() ? query(ids[l]).data() : nullptr;
+      for (size_t d = 0; d < dim; ++d) {
+        tile[d].lane[l] = p != nullptr ? static_cast<double>(p[d]) : 0.0;
+      }
+      thresholds[l] = p != nullptr ? kInf : -kInf;  // unused lanes never block
+    }
+    std::vector<BoundedDistanceHeap> heaps(ids.size(), BoundedDistanceHeap(k));
+    uint32_t live = 0;
+    for (size_t row = 0;
+         (row = ops->query_tile_scan(tile[0].lane.data(), rows.data(), row, n,
+                                     dim, thresholds.data(), acc.data(),
+                                     &live)) < n;
+         ++row) {
+      for (size_t l = 0; l < ids.size(); ++l) {
+        // An abandoned lane's sum exceeded its threshold: a no-op push.
+        if (((live >> l) & 1u) == 0) continue;
+        // The exclusion rules of ScanRows, per query.
+        if (row == batch.exclude_rows[ids[l]]) {
+          if (!batch.exclude_row_only_if_zero) continue;
+          if (acc[l] <= 0.0) continue;
+        }
+        heaps[l].Push(acc[l]);
+        thresholds[l] = heaps[l].Threshold();
+      }
+    }
+    for (size_t l = 0; l < ids.size(); ++l) out[ids[l]] = heaps[l].Threshold();
+  }
 }
 
 std::vector<std::pair<double, size_t>> TopKNeighborScan(

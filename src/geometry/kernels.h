@@ -19,8 +19,9 @@ namespace hdidx::geometry::kernels {
 ///
 /// kScalar is the retained reference oracle: one candidate at a time,
 /// exactly the loops the library shipped with. Every other mode evaluates
-/// one query against many candidates at once, vectorizing *across*
-/// candidates — never within a single distance reduction — so every
+/// one query against many candidates at once (or, in TiledKthDistanceScan,
+/// one row against many queries), vectorizing *across* candidates or
+/// queries — never within a single distance reduction — so every
 /// individual distance keeps the scalar accumulation order and every
 /// count, radius, and assignment is bit-identical to the scalar mode.
 /// Early exits only ever use the fact that adding a non-negative term to a
@@ -239,6 +240,57 @@ HDIDX_CONCURRENT_READ double KthDistanceScan(std::span<const float> query,
                                              size_t dim, size_t k,
                                              const ScanOptions& opts,
                                              KernelMode mode);
+
+/// Queries per tile of TiledKthDistanceScan: two 512-bit (four 256-bit)
+/// registers of doubles, and one 128-byte tile plane per dimension.
+inline constexpr size_t kQueryTile = 16;
+
+/// A batch of k-NN queries for TiledKthDistanceScan: `points` holds the
+/// queries row-major, query i excludes row exclude_rows[i] (kNoRow: none)
+/// under `exclude_row_only_if_zero` (ScanOptions' rules).
+struct QueryBatch {
+  std::span<const float> points;
+  std::span<const size_t> exclude_rows;
+  bool exclude_row_only_if_zero = false;
+
+  size_t size() const { return exclude_rows.size(); }
+};
+
+/// A permutation of the batch's query indices whose consecutive runs of
+/// kQueryTile are the tiles TiledKthDistanceScan should scan together.
+/// Near queries share a tile, so rows far from all of them are abandoned
+/// early. Greedy and deterministic: each tile is the lowest-index query not
+/// yet placed plus its kQueryTile - 1 nearest unplaced queries (ties towards
+/// lower indices), chosen within consecutive windows of 16 tiles so the
+/// cost stays linear in the batch size. Only the order of work depends on
+/// it; every radius is the same for any permutation.
+std::vector<size_t> GroupQueriesIntoTiles(std::span<const float> points,
+                                          size_t dim);
+
+/// out[i] = KthDistanceScan(query i, rows, dim, k, opts_i) bit for bit, for
+/// every query index i in `order` (other slots of `out` are not touched),
+/// where opts_i holds query i's exclusion rule from `batch`.
+///
+/// kScalar runs the per-query oracle loop. Every other mode takes the
+/// queries kQueryTile at a time in `order`, transposes each tile into
+/// dimension-major double planes, and streams the rows once per tile
+/// instead of once per query: a row is loaded once and its distance to all
+/// tile queries accumulates at once, each in dimension order. A group of
+/// lanes stops accumulating a row only when every lane in it has a partial
+/// sum above that query's own heap threshold, so every skipped push is a
+/// no-op; every other distance goes through the same bounded-heap push as
+/// the oracle.
+HDIDX_CONCURRENT_READ void TiledKthDistanceScan(const QueryBatch& batch,
+                                                std::span<const size_t> order,
+                                                std::span<const float> rows,
+                                                size_t dim, size_t k,
+                                                std::span<double> out);
+HDIDX_CONCURRENT_READ void TiledKthDistanceScan(const QueryBatch& batch,
+                                                std::span<const size_t> order,
+                                                std::span<const float> rows,
+                                                size_t dim, size_t k,
+                                                std::span<double> out,
+                                                KernelMode mode);
 
 /// The k nearest rows as (squared distance, row) pairs in ascending order
 /// (ties towards the lower row index — identical to partial_sort over all

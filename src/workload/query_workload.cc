@@ -1,13 +1,44 @@
 #include "workload/query_workload.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
 #include "geometry/distance.h"
 #include "geometry/kernels.h"
-#include "index/knn.h"
 
 namespace hdidx::workload {
+
+namespace {
+
+/// Exact k-NN radii of `queries` (drawn from `rows` of `data_rows`) on the
+/// query-tiled scan kernel. The tiles are grouped serially, then fanned out
+/// on `ctx`: each chunk streams the dataset once per tile and writes only
+/// its own tiles' slots, so the radii are bit-identical for every thread
+/// count.
+std::vector<double> TiledRadii(const data::Dataset& queries,
+                               const std::vector<size_t>& rows,
+                               bool exclude_row_only_if_zero,
+                               std::span<const float> data_rows, size_t k,
+                               const common::ExecutionContext& ctx) {
+  namespace gk = geometry::kernels;
+  const size_t dim = queries.dim();
+  const gk::QueryBatch batch{queries.data(), rows, exclude_row_only_if_zero};
+  const std::vector<size_t> order =
+      gk::GroupQueriesIntoTiles(queries.data(), dim);
+  std::vector<double> radii(rows.size());
+  const size_t num_tiles = (order.size() + gk::kQueryTile - 1) / gk::kQueryTile;
+  ctx.ParallelFor(0, num_tiles, /*grain=*/1, [&](size_t begin, size_t end) {
+    const size_t first = begin * gk::kQueryTile;
+    const size_t last = std::min(order.size(), end * gk::kQueryTile);
+    const std::span<const size_t> tiles(order.data() + first, last - first);
+    gk::TiledKthDistanceScan(batch, tiles, data_rows, dim, k, radii);
+    for (const size_t i : tiles) radii[i] = std::sqrt(radii[i]);
+  });
+  return radii;
+}
+
+}  // namespace
 
 size_t QueryRegions::CountIntersections(
     size_t i, std::span<const geometry::BoundingBox> boxes,
@@ -57,14 +88,11 @@ QueryWorkload QueryWorkload::Create(const data::Dataset& data, size_t q,
     rows[i] = static_cast<size_t>(rng->NextBounded(data.size()));
   }
   data::Dataset queries = data.Select(rows);
-  // Each query's exact scan is independent and writes only its own slot.
-  std::vector<double> radii(q);
-  ctx.ParallelFor(0, q, /*grain=*/1, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      radii[i] =
-          index::ExactKthDistanceExcludingRow(data, queries.row(i), k, rows[i]);
-    }
-  });
+  // The query's own row is excluded unconditionally, as in
+  // index::ExactKthDistanceExcludingRow.
+  std::vector<double> radii =
+      TiledRadii(queries, rows, /*exclude_row_only_if_zero=*/false,
+                 data.data(), k, ctx);
   return QueryWorkload(std::move(queries), std::move(radii), std::move(rows),
                        k);
 }
@@ -110,23 +138,12 @@ ScanResult ScanForWorkloadAndSample(io::PagedFile* file, size_t q, size_t k,
     sample.Append(raw.subspan(row * dim, dim));
   }
 
-  // The in-memory distance loop, parallel over queries: each query's scan
-  // is independent and streams the dataset in row order on the batched
-  // kernel (early-terminating against its heap threshold), so every radius
-  // is bit-identical to the serial scalar pass for any thread count. The
-  // exclusion rule is the original one: the query's own row is skipped only
-  // at distance zero, so duplicates of the query point still count.
-  std::vector<double> radii(q);
-  ctx.ParallelFor(0, q, /*grain=*/1, [&](size_t begin, size_t end) {
-    for (size_t j = begin; j < end; ++j) {
-      geometry::kernels::ScanOptions opts;
-      opts.exclude_row = rows[j];
-      opts.exclude_row_only_if_zero = true;
-      radii[j] = std::sqrt(
-          geometry::kernels::KthDistanceScan(queries.row(j), raw, dim, k,
-                                             opts));
-    }
-  });
+  // The in-memory distance loop on the query-tiled kernel. The exclusion
+  // rule is the original one: the query's own row is skipped only at
+  // distance zero, so duplicates of the query point still count.
+  std::vector<double> radii =
+      TiledRadii(queries, rows, /*exclude_row_only_if_zero=*/true, raw, k,
+                 ctx);
 
   ScanResult result{
       QueryWorkload(std::move(queries), std::move(radii), std::move(rows), k),

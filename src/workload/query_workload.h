@@ -64,9 +64,12 @@ class QueryWorkload : public QueryRegions {
   /// identical radii for the same query rows.
   ///
   /// `rng` is consumed serially (the row draws), so the random stream is
-  /// identical for every thread count; only the per-query exact k-NN scans
-  /// fan out on `ctx`, each writing its own radius slot. Radii are therefore
-  /// bit-identical to the single-threaded run.
+  /// identical for every thread count. The exact k-NN radii run on the
+  /// query-tiled scan: the queries are grouped into tiles of
+  /// geometry::kernels::kQueryTile serially, then the tiles fan out on
+  /// `ctx`, each streaming the dataset once and writing only its own
+  /// queries' radius slots. Radii are therefore bit-identical to the
+  /// single-threaded run, and to the per-query scalar oracle.
   static QueryWorkload Create(
       const data::Dataset& data, size_t q, size_t k, common::Rng* rng,
       const common::ExecutionContext& ctx = common::DefaultExecutionContext());
@@ -120,8 +123,10 @@ struct ScanResult {
 /// All I/O charging (the q random reads and the one sequential scan) happens
 /// serially on the calling thread exactly as before — the simulated disk's
 /// seek/transfer accounting is byte-identical for every thread count. Only
-/// the in-memory distance loop fans out on `ctx`, over queries (each query's
-/// heap is private to its chunk), so radii are bit-identical too.
+/// the in-memory distance loop fans out on `ctx`, over tiles of
+/// geometry::kernels::kQueryTile queries (each tile's heaps are private to
+/// its chunk), on the same tiled kernel as QueryWorkload::Create, so radii
+/// are bit-identical too.
 ScanResult ScanForWorkloadAndSample(
     io::PagedFile* file, size_t q, size_t k, size_t sample_size,
     common::Rng* rng,

@@ -98,6 +98,48 @@ TEST(ThreadPoolTest, PoolIsReusableAcrossJobs) {
   }
 }
 
+// Thousands of back-to-back jobs of varying sizes: workers still finishing
+// one job routinely claim from the next (or from one that already drained).
+// Every chunk of every job must run exactly once, on that job's function.
+TEST(ThreadPoolTest, BackToBackParallelForJobsRunEveryChunkOnce) {
+  for (const size_t threads : {2, 4, 8}) {
+    ThreadPool pool(threads);
+    for (size_t job = 0; job < 3000; ++job) {
+      const size_t n = 1 + (job * 37) % 61;
+      const size_t grain = 1 + job % 4;
+      const size_t num_chunks = (n + grain - 1) / grain;
+      std::vector<std::atomic<uint32_t>> visits(n);
+      std::atomic<size_t> calls{0};
+      pool.ParallelFor(0, n, grain, [&](size_t begin, size_t end) {
+        calls.fetch_add(1);
+        for (size_t i = begin; i < end; ++i) visits[i].fetch_add(1);
+      });
+      ASSERT_EQ(calls.load(), n > grain ? num_chunks : 1u)
+          << threads << " threads, job " << job;
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(visits[i].load(), 1u)
+            << threads << " threads, job " << job << ", element " << i;
+      }
+    }
+  }
+}
+
+// The same race from the other side: jobs whose chunks are all claimed by
+// the publishing thread before a worker wakes, so the workers arrive late
+// with claims from drained epochs.
+TEST(ThreadPoolTest, StaleClaimsFromDrainedParallelForJobsAreDropped) {
+  ThreadPool pool(8);
+  std::vector<std::atomic<uint32_t>> per_job(4000);
+  for (size_t job = 0; job < per_job.size(); ++job) {
+    pool.ParallelFor(0, 2, 1, [&](size_t begin, size_t end) {
+      per_job[job].fetch_add(static_cast<uint32_t>(end - begin));
+    });
+  }
+  for (size_t job = 0; job < per_job.size(); ++job) {
+    ASSERT_EQ(per_job[job].load(), 2u) << "job " << job;
+  }
+}
+
 TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
   ThreadPool pool(2);
   std::atomic<size_t> inner_total{0};

@@ -1,8 +1,12 @@
 /// Parameterized property sweeps: invariants that must hold across a grid
 /// of dataset shapes, capacities, and sampling fractions.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <numeric>
 #include <span>
 #include <string>
 #include <tuple>
@@ -17,7 +21,9 @@
 #include "gtest/gtest.h"
 #include "index/bulk_loader.h"
 #include "index/knn.h"
+#include "io/paged_file.h"
 #include "test_util.h"
+#include "workload/query_workload.h"
 
 namespace hdidx {
 namespace {
@@ -353,6 +359,178 @@ INSTANTIATE_TEST_SUITE_P(
     DimSlabGrid, KernelEquivalenceProperty,
     ::testing::Combine(::testing::Values(1, 3, 60, 617),
                        ::testing::Values(1, 7, 8, 9, 16, 17)));
+
+// ---------------------------------------------------------------------------
+// Query-tiled k-NN scan: TiledKthDistanceScan in every supported mode, in
+// identity and grouped tile order, must equal the per-query scalar oracle
+// bit for bit, across query counts straddling the kQueryTile boundary,
+// dimensions straddling the 8-dimension abandonment cadence, k up to and
+// past the number of qualifying rows (+inf), duplicate and all-identical
+// rows, and both exclusion rules. Compared as bit patterns, so +inf and NaN
+// results are checked too.
+// ---------------------------------------------------------------------------
+
+using TiledParams = std::tuple<size_t, size_t>;  // (queries, dim)
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// Checks every mode and both tile orders against the scalar oracle for
+/// queries drawn as rows of `rows` (each excluding its own row).
+void ExpectTiledMatchesOracle(const std::vector<float>& rows, size_t dim,
+                              const std::vector<size_t>& query_rows,
+                              size_t k) {
+  namespace gk = geometry::kernels;
+  const size_t q = query_rows.size();
+  std::vector<float> points;
+  for (const size_t r : query_rows) {
+    points.insert(points.end(), rows.begin() + r * dim,
+                  rows.begin() + (r + 1) * dim);
+  }
+  const std::vector<size_t> identity = [q] {
+    std::vector<size_t> order(q);
+    std::iota(order.begin(), order.end(), size_t{0});
+    return order;
+  }();
+  const std::vector<size_t> grouped = gk::GroupQueriesIntoTiles(points, dim);
+  ASSERT_EQ(grouped.size(), q);
+  ASSERT_TRUE(std::is_permutation(grouped.begin(), grouped.end(),
+                                  identity.begin()));
+  for (const bool only_if_zero : {false, true}) {
+    SCOPED_TRACE(only_if_zero ? "exclude only at zero" : "exclude always");
+    const gk::QueryBatch batch{points, query_rows, only_if_zero};
+    std::vector<double> oracle(q);
+    for (size_t i = 0; i < q; ++i) {
+      gk::ScanOptions opts;
+      opts.exclude_row = query_rows[i];
+      opts.exclude_row_only_if_zero = only_if_zero;
+      oracle[i] = gk::KthDistanceScan(
+          std::span<const float>(points).subspan(i * dim, dim), rows, dim, k,
+          opts, gk::KernelMode::kScalar);
+      // Fewer than k qualifying rows yields +inf.
+      if (k > rows.size() / dim) {
+        ASSERT_EQ(oracle[i], std::numeric_limits<double>::infinity());
+      }
+    }
+    for (const gk::KernelMode mode : gk::SupportedKernelModes()) {
+      SCOPED_TRACE(std::string(gk::KernelModeName(mode)));
+      for (const auto* order : {&identity, &grouped}) {
+        std::vector<double> out(q, -1.0);
+        gk::TiledKthDistanceScan(batch, *order, rows, dim, k, out, mode);
+        for (size_t i = 0; i < q; ++i) {
+          ASSERT_EQ(Bits(out[i]), Bits(oracle[i]))
+              << "query " << i << " k " << k << ": " << out[i] << " vs "
+              << oracle[i];
+        }
+      }
+    }
+  }
+}
+
+class TiledScanEquivalenceProperty
+    : public ::testing::TestWithParam<TiledParams> {};
+
+TEST_P(TiledScanEquivalenceProperty, BitIdenticalToScalarOracle) {
+  const auto [q, dim] = GetParam();
+  constexpr size_t n = 41;
+  common::Rng rng(q * 7919 + dim);
+  std::vector<float> rows(n * dim);
+  for (auto& v : rows) v = static_cast<float>(rng.NextUniform(-1.0, 1.0));
+  // Exact duplicates: row 5 of row 3, row 9 of row 3 again.
+  for (const size_t dup : {5, 9}) {
+    std::copy_n(rows.begin() + 3 * dim, dim, rows.begin() + dup * dim);
+  }
+  std::vector<size_t> query_rows(q);
+  for (size_t i = 0; i < q; ++i) query_rows[i] = rng.NextBounded(n);
+  query_rows[0] = 3;  // a query with duplicates of its own row
+  for (const size_t k : {size_t{1}, size_t{10}, n - 1, n, n + 5}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    ExpectTiledMatchesOracle(rows, dim, query_rows, k);
+  }
+
+  // All-identical points: every distance is 0, the own row is dropped (or,
+  // under the zero rule, dropped for being at distance 0).
+  const std::vector<float> same(n * dim, 0.25f);
+  for (const size_t k : {size_t{1}, n - 1, n}) {
+    SCOPED_TRACE("identical, k=" + std::to_string(k));
+    ExpectTiledMatchesOracle(same, dim, query_rows, k);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    QueryDimGrid, TiledScanEquivalenceProperty,
+    ::testing::Combine(::testing::Values(1, 15, 16, 17, 100),
+                       ::testing::Values(1, 3, 16, 60, 617)));
+
+// A NaN coordinate in a row (pushed while the heap is not full, exactly as
+// in the oracle) and in a query (every distance NaN) at the kernel level.
+TEST(TiledScanNanTest, NanCoordinatesMatchOracleBits) {
+  for (const size_t dim : {3, 16, 60}) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    constexpr size_t n = 50;
+    common::Rng rng(dim);
+    std::vector<float> rows(n * dim);
+    for (auto& v : rows) v = static_cast<float>(rng.NextUniform(-1.0, 1.0));
+    rows[7 * dim + dim / 2] = std::numeric_limits<float>::quiet_NaN();
+    rows[30 * dim] = std::numeric_limits<float>::quiet_NaN();
+    std::vector<size_t> query_rows(20);
+    for (size_t i = 0; i < query_rows.size(); ++i) {
+      query_rows[i] = rng.NextBounded(n);
+    }
+    query_rows[2] = 7;  // a query with a NaN coordinate
+    for (const size_t k : {size_t{1}, size_t{5}, n}) {
+      SCOPED_TRACE("k=" + std::to_string(k));
+      ExpectTiledMatchesOracle(rows, dim, query_rows, k);
+    }
+  }
+}
+
+// Both workload constructors run on the tiled kernel: in every supported
+// mode and at 1, 2 and 8 threads, their radii equal the scalar oracle's.
+TEST(TiledScanWorkloadTest, CreateAndScanMatchOracleAtEveryThreadCount) {
+  namespace gk = geometry::kernels;
+  for (const size_t dim : {16, 60}) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    const auto data = testing::SmallClustered(900, dim, 31 + dim);
+    constexpr size_t q = 37;
+    constexpr size_t k = 10;
+    for (const gk::KernelMode mode : gk::SupportedKernelModes()) {
+      SCOPED_TRACE(std::string(gk::KernelModeName(mode)));
+      gk::SetKernelMode(mode);
+      for (const size_t threads : {1, 2, 8}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        common::ThreadPool pool(threads);
+        const common::ExecutionContext ctx(&pool);
+        common::Rng create_rng(5);
+        const auto created =
+            workload::QueryWorkload::Create(data, q, k, &create_rng, ctx);
+        io::PagedFile file = io::PagedFile::FromDataset(data, io::DiskModel{});
+        common::Rng scan_rng(5);
+        const auto scanned = workload::ScanForWorkloadAndSample(
+            &file, q, k, 100, &scan_rng, ctx);
+        for (size_t i = 0; i < q; ++i) {
+          gk::ScanOptions always;
+          always.exclude_row = created.query_rows()[i];
+          EXPECT_EQ(Bits(created.radius(i)),
+                    Bits(std::sqrt(gk::KthDistanceScan(
+                        created.queries().row(i), data.data(), dim, k,
+                        always, gk::KernelMode::kScalar))));
+          gk::ScanOptions at_zero;
+          at_zero.exclude_row = scanned.workload.query_rows()[i];
+          at_zero.exclude_row_only_if_zero = true;
+          EXPECT_EQ(Bits(scanned.workload.radius(i)),
+                    Bits(std::sqrt(gk::KthDistanceScan(
+                        scanned.workload.queries().row(i), data.data(), dim,
+                        k, at_zero, gk::KernelMode::kScalar))));
+        }
+      }
+      gk::ClearKernelModeOverride();
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Sphere-counting consistency: leaf accesses counted through the tree match
