@@ -164,9 +164,11 @@ void ReportSweep(benchmark::State& state, const std::string& family,
 }
 
 // The acceptance workload of the parallel-layer refactor: q=100 exact 21-NN
-// radii over 100k x 16 points.
+// radii over 100k x 16 points. q=16 is one tile of the query-tiled scan, so
+// it shows whether a small batch still spreads over the threads.
 void BM_WorkloadCreateThreads(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
+  const size_t q = static_cast<size_t>(state.range(1));
   const data::Dataset& data = SweepData();
   common::ThreadPool pool(threads);
   const common::ExecutionContext ctx(&pool);
@@ -175,15 +177,17 @@ void BM_WorkloadCreateThreads(benchmark::State& state) {
     common::Rng rng(7);
     const auto start = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(
-        workload::QueryWorkload::Create(data, 100, 21, &rng, ctx));
+        workload::QueryWorkload::Create(data, q, 21, &rng, ctx));
     total_ns += std::chrono::duration<double, std::nano>(
                     std::chrono::steady_clock::now() - start)
                     .count();
   }
-  ReportSweep(state, "workload_create", threads, total_ns);
+  ReportSweep(state, "workload_create_q" + std::to_string(q), threads,
+              total_ns);
 }
 BENCHMARK(BM_WorkloadCreateThreads)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Args({1, 100})->Args({2, 100})->Args({4, 100})->Args({8, 100})
+    ->Args({1, 16})->Args({2, 16})->Args({4, 16})->Args({8, 16})
     ->Unit(benchmark::kMillisecond)
     ->Iterations(3);
 
