@@ -157,5 +157,71 @@ TEST(ProtocolSerializeTest, ControlAndShedLines) {
             "\"shard\":2,\"retry_after_ms\":50}");
 }
 
+TEST(ProtocolGoldenTest, ResponseLinesArePinned) {
+  // Byte-exact JSON lines for the values pinned as wire frames in
+  // WireGoldenTest.ResponseBytesArePinned.
+  ServiceResponse ok;
+  ok.id = 5;
+  ok.ok = true;
+  ok.shard = 1;
+  ok.cache_hit = true;
+  ok.latency_ms = 0.5;
+  ok.served_io.page_seeks = 3;
+  ok.served_io.page_transfers = 4;
+  ok.result.avg_leaf_accesses = 2.5;
+  ok.result.per_query_accesses = {2.0, 3.0};
+  ok.result.num_predicted_leaves = 6;
+  ok.result.h_upper = 2;
+  ok.result.sigma_upper = 0.25;
+  ok.result.sigma_lower = 1.0;
+  ok.result.io.page_seeks = 7;
+  ok.result.io.page_transfers = 8;
+  const std::string head =
+      "{\"op\":\"predict\",\"id\":5,\"ok\":true,\"shard\":1,\"cache\":\"hit\","
+      "\"workload_cache\":\"miss\",\"served_seeks\":3,\"served_transfers\":4,"
+      "\"latency_ms\":0.5,\"result\":{\"avg_leaf_accesses\":2.5,"
+      "\"num_queries\":2,\"num_predicted_leaves\":6,\"h_upper\":2,"
+      "\"sigma_upper\":0.25,\"sigma_lower\":1,\"io_seeks\":7,"
+      "\"io_transfers\":8";
+  EXPECT_EQ(SerializePredictResponse(ok, /*per_query=*/true),
+            head + ",\"per_query\":[2,3]}}");
+  EXPECT_EQ(SerializePredictResponse(ok, /*per_query=*/false), head + "}}");
+
+  ServiceResponse failed;
+  failed.id = 6;
+  failed.latency_ms = 0.125;
+  failed.served_io.page_seeks = 9;  // JSON keeps served_* on errors
+  failed.error = "bad \"x\"";
+  EXPECT_EQ(SerializePredictResponse(failed, false),
+            "{\"op\":\"predict\",\"id\":6,\"ok\":false,\"shard\":0,"
+            "\"cache\":\"miss\",\"workload_cache\":\"miss\","
+            "\"served_seeks\":9,\"served_transfers\":0,\"latency_ms\":0.125,"
+            "\"result\":{\"error\":\"bad \\\"x\\\"\"}}");
+
+  ServiceMetrics metrics;
+  metrics.requests = 10;
+  metrics.errors = 1;
+  metrics.result_hits = 4;
+  metrics.result_misses = 6;
+  metrics.result_evictions = 1;
+  metrics.workload_hits = 3;
+  metrics.workload_misses = 7;
+  metrics.workload_evictions = 2;
+  metrics.shed_total = 5;
+  metrics.shards.resize(2);
+  metrics.shards[0] = {4, 0.5, 1.0, 2.0, 0, 3, 0};
+  metrics.shards[1] = {6, 1.5, 2.5, 3.5, 2, 4, 5};
+  EXPECT_EQ(SerializeMetrics(metrics),
+            "{\"op\":\"stats\",\"ok\":true,\"requests\":10,\"batches\":0,"
+            "\"errors\":1,\"mean_batch_size\":0,"
+            "\"result_cache\":{\"hits\":4,\"misses\":6,\"evictions\":1},"
+            "\"workload_cache\":{\"hits\":3,\"misses\":7,\"evictions\":2},"
+            "\"shed_total\":5,\"shards\":[{\"requests\":4,\"p50_ms\":0.5,"
+            "\"p90_ms\":1,\"p99_ms\":2,\"queue_depth\":0,"
+            "\"peak_queue_depth\":3,\"shed\":0},{\"requests\":6,"
+            "\"p50_ms\":1.5,\"p90_ms\":2.5,\"p99_ms\":3.5,\"queue_depth\":2,"
+            "\"peak_queue_depth\":4,\"shed\":5}]}");
+}
+
 }  // namespace
 }  // namespace hdidx::service

@@ -133,6 +133,173 @@ TEST(WireGoldenTest, FrameBytesArePinned) {
   );
 }
 
+TEST(WireGoldenTest, ResponseBytesArePinned) {
+  // ProtocolGoldenTest pins the same values as JSON lines, so the two
+  // framings can be read side by side.
+  ServiceResponse ok;
+  ok.id = 5;
+  ok.ok = true;
+  ok.shard = 1;
+  ok.cache_hit = true;
+  ok.latency_ms = 0.5;
+  ok.served_io.page_seeks = 3;
+  ok.served_io.page_transfers = 4;
+  ok.result.avg_leaf_accesses = 2.5;
+  ok.result.per_query_accesses = {2.0, 3.0};
+  ok.result.num_predicted_leaves = 6;
+  ok.result.h_upper = 2;
+  ok.result.sigma_upper = 0.25;
+  ok.result.sigma_lower = 1.0;
+  ok.result.io.page_seeks = 7;
+  ok.result.io.page_transfers = 8;
+  const std::string ok_payload =
+      "01000000"          // shard 1 (u32)
+      "000000000000e03f"  // latency_ms 0.5 (before served_* on the wire)
+      "0300000000000000"  // served_seeks 3
+      "0400000000000000"  // served_transfers 4
+      "0000000000000440"  // avg_leaf_accesses 2.5
+      "0200000000000000"  // num_queries 2 (the per-query count)
+      "0600000000000000"  // num_predicted_leaves 6
+      "0200000000000000"  // h_upper 2
+      "000000000000d03f"  // sigma_upper 0.25
+      "000000000000f03f"  // sigma_lower 1
+      "0700000000000000"  // io_seeks 7
+      "0800000000000000"; // io_transfers 8
+  EXPECT_EQ(Hex(EncodePredictResponse(ok, /*per_query=*/true)),
+            "4844"
+            "01"
+            "00"                // op kPredict
+            "0f00"              // flags: response | ok | per_query | cache
+            "0000"
+            "6c000000"          // length 108
+            "0500000000000000"  // id 5
+            + ok_payload +
+            "0000000000000040"  // per_query[0] 2
+            "0000000000000840"  // per_query[1] 3
+  );
+  EXPECT_EQ(Hex(EncodePredictResponse(ok, /*per_query=*/false)),
+            "4844"
+            "01"
+            "00"
+            "0b00"              // flags: response | ok | cache
+            "0000"
+            "5c000000"          // length 92: no per-query array
+            "0500000000000000"
+            + ok_payload);
+
+  ServiceResponse failed;
+  failed.id = 6;
+  failed.latency_ms = 0.125;
+  failed.served_io.page_seeks = 9;  // dropped on the wire for errors
+  failed.error = "bad \"x\"";
+  EXPECT_EQ(Hex(EncodePredictResponse(failed, false)),
+            "4844"
+            "01"
+            "00"
+            "0100"              // flags: response
+            "0000"
+            "15000000"          // length 21
+            "0600000000000000"  // id 6
+            "00000000"          // shard 0
+            "000000000000c03f"  // latency_ms 0.125
+            "070062616420227822"  // error: len 7, bad "x"
+  );
+
+  ServiceMetrics metrics;
+  metrics.requests = 10;
+  metrics.errors = 1;
+  metrics.result_hits = 4;
+  metrics.result_misses = 6;
+  metrics.result_evictions = 1;
+  metrics.workload_hits = 3;
+  metrics.workload_misses = 7;
+  metrics.workload_evictions = 2;
+  metrics.shed_total = 5;
+  metrics.shards.resize(2);
+  metrics.shards[0] = {4, 0.5, 1.0, 2.0, 0, 3, 0};
+  metrics.shards[1] = {6, 1.5, 2.5, 3.5, 2, 4, 5};
+  EXPECT_EQ(Hex(EncodeStatsResponse(12, metrics)),
+            "4844"
+            "01"
+            "02"                // op kStats
+            "0300"              // flags: response | ok
+            "0000"
+            "d0000000"          // length 208: 12 u64/f64 + 2 shard records
+            "0c00000000000000"  // id 12
+            "0a00000000000000"  // requests 10
+            "0000000000000000"  // batches 0
+            "0100000000000000"  // errors 1
+            "0000000000000000"  // mean_batch_size 0
+            "0400000000000000"  // result hits 4
+            "0600000000000000"  // result misses 6
+            "0100000000000000"  // result evictions 1
+            "0300000000000000"  // workload hits 3
+            "0700000000000000"  // workload misses 7
+            "0200000000000000"  // workload evictions 2
+            "0500000000000000"  // shed_total 5
+            "0200000000000000"  // shard count 2
+            "0400000000000000"  // shard 0: requests 4
+            "000000000000e03f"  //   p50_ms 0.5
+            "000000000000f03f"  //   p90_ms 1
+            "0000000000000040"  //   p99_ms 2
+            "0000000000000000"  //   queue_depth 0
+            "0300000000000000"  //   peak_queue_depth 3
+            "0000000000000000"  //   shed 0
+            "0600000000000000"  // shard 1: requests 6
+            "000000000000f83f"  //   p50_ms 1.5
+            "0000000000000440"  //   p90_ms 2.5
+            "0000000000000c40"  //   p99_ms 3.5
+            "0200000000000000"  //   queue_depth 2
+            "0400000000000000"  //   peak_queue_depth 4
+            "0500000000000000"  //   shed 5
+  );
+
+  LoadResult loaded;
+  loaded.ok = true;
+  loaded.dataset = "d";
+  loaded.points = 400;
+  loaded.dims = 5;
+  loaded.shard = 1;
+  EXPECT_EQ(Hex(EncodeLoadResponse(4, loaded)),
+            "4844"
+            "01"
+            "01"                // op kLoad
+            "0300"              // flags: response | ok
+            "0000"
+            "13000000"          // length 19
+            "0400000000000000"  // id 4
+            "010064"            // dataset: len 1, "d"
+            "9001000000000000"  // points 400
+            "05000000"          // dims 5 (u32)
+            "01000000"          // shard 1 (u32)
+  );
+  LoadResult refused;
+  refused.dataset = "d";
+  refused.error = "nope";
+  EXPECT_EQ(Hex(EncodeLoadResponse(4, refused)),
+            "4844"
+            "01"
+            "01"
+            "0100"              // flags: response
+            "0000"
+            "09000000"          // length 9
+            "0400000000000000"
+            "010064"            // dataset
+            "04006e6f7065"      // error: len 4, "nope"
+  );
+
+  EXPECT_EQ(Hex(EncodeShutdownResponse(2, 16)),
+            "4844"
+            "01"
+            "03"                // op kShutdown
+            "0300"              // flags: response | ok
+            "0000"
+            "08000000"
+            "0200000000000000"  // id 2
+            "1000000000000000"  // served 16
+  );
+}
+
 TEST(WireRoundTripTest, RequestsDecodeThroughSharedRequestLine) {
   ServiceRequest predict;
   predict.id = 77;
