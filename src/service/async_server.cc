@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -79,11 +80,6 @@ void DrainEventFd(int fd) {
   }
 }
 
-/// How a connection's bytes are framed, fixed by its first byte: '{'
-/// starts JSON lines (service/protocol.h), anything else the binary wire
-/// protocol (service/wire.h), whose magic starts with 0x48.
-enum class Framing : uint8_t { kUnknown = 0, kWire = 1, kJson = 2 };
-
 /// One accepted socket. The reactor that owns the connection is the only
 /// thread that reads it and the only thread that writes the fd; shard
 /// workers hand response bytes over through the mutex-guarded outbound
@@ -104,7 +100,9 @@ struct Connection {
 
   /// Read/framing state, touched only by the owning reactor thread.
   std::string inbound HDIDX_UNGUARDED;
-  Framing framing HDIDX_UNGUARDED = Framing::kUnknown;
+  /// Fixed by the first byte: '{' starts JSON lines, anything else the
+  /// binary wire protocol, whose magic starts with 0x48.
+  std::optional<Framing> framing HDIDX_UNGUARDED;
   /// Next id for a JSON predict line without one.
   uint64_t next_json_id HDIDX_UNGUARDED = 1;
   /// Epoll interest currently registered — owning reactor only.
@@ -278,11 +276,9 @@ class AsyncServer::Impl {
   void ReactorLoop(size_t index);
   void WorkerLoop(size_t shard);
 
-  /// Serves one dequeued predict and renders the reply in its framing.
-  std::string ServeWire(size_t shard, const QueueItem& item);
-  std::string ServeJson(size_t shard, const ServiceRequest& request);
-  /// The one ServeOnShard call site, shared by both framings.
-  ServiceResponse Serve(size_t shard, const ServiceRequest& request);
+  /// Serves one dequeued predict and renders the reply in its framing:
+  /// the one ServeOnShard call site, shared by both framings.
+  std::string Serve(size_t shard, const QueueItem& item);
 
   void HandleInbox(Reactor& r);
   void ReadConnection(Reactor& r, const std::shared_ptr<Connection>& conn);
@@ -579,41 +575,34 @@ void AsyncServer::Impl::WorkerLoop(size_t shard) {
   ShardQueue& queue = *queues_[shard];
   QueueItem item;
   while (queue.Pop(&item)) {
-    SendFromWorker(item.conn, item.request != nullptr
-                                  ? ServeJson(shard, *item.request)
-                                  : ServeWire(shard, item));
+    SendFromWorker(item.conn, Serve(shard, item));
     queue.FinishItem();
     // Drop the connection reference before blocking on the next item.
     item = QueueItem{};
   }
 }
 
-std::string AsyncServer::Impl::ServeWire(size_t shard, const QueueItem& item) {
-  // Decode here, off the reactor. The frame boundary was already sound
-  // (NextFrame accepted it), so a decode failure only poisons this
-  // request: report against its id and leave the connection serving.
-  // Per-shard FIFO keeps the error in admission order relative to the
-  // connection's other predicts.
-  RequestLine request;
-  std::string error;
-  if (!wire::DecodeRequest(item.header, item.payload, &request, &error)) {
-    return wire::EncodeErrorFrame(item.header.id, error);
+std::string AsyncServer::Impl::Serve(size_t shard, const QueueItem& item) {
+  const Framing framing =
+      item.request != nullptr ? Framing::kJson : Framing::kWire;
+  RequestLine decoded;
+  if (item.request == nullptr) {
+    // Decode here, off the reactor. The frame boundary was already sound
+    // (NextFrame accepted it), so a decode failure only poisons this
+    // request: report against its id and leave the connection serving.
+    // Per-shard FIFO keeps the error in admission order relative to the
+    // connection's other predicts.
+    std::string error;
+    if (!wire::DecodeRequest(item.header, item.payload, &decoded, &error)) {
+      return Encode<ErrorResponse>(framing, error, item.header.id);
+    }
   }
-  return wire::EncodePredictResponse(Serve(shard, request.predict),
-                                     request.predict.per_query);
-}
-
-std::string AsyncServer::Impl::ServeJson(size_t shard,
-                                         const ServiceRequest& request) {
-  return SerializePredictResponse(Serve(shard, request), request.per_query) +
-         "\n";
-}
-
-ServiceResponse AsyncServer::Impl::Serve(size_t shard,
-                                         const ServiceRequest& request) {
-  ServiceResponse response = service_->ServeOnShard(shard, request);
+  const ServiceRequest& request =
+      item.request != nullptr ? *item.request : decoded.predict;
+  PredictReply reply{service_->ServeOnShard(shard, request),
+                     request.per_query};
   served_.fetch_add(1, std::memory_order_relaxed);
-  return response;
+  return Encode<PredictResponse>(framing, reply);
 }
 
 void AsyncServer::Impl::HandleInbox(Reactor& r) {
@@ -662,7 +651,7 @@ void AsyncServer::Impl::ReadConnection(
 
 void AsyncServer::Impl::ProcessInbound(
     Reactor& r, const std::shared_ptr<Connection>& conn) {
-  if (conn->framing == Framing::kUnknown) {
+  if (!conn->framing.has_value()) {
     conn->framing =
         conn->inbound.front() == '{' ? Framing::kJson : Framing::kWire;
   }
@@ -695,7 +684,7 @@ size_t AsyncServer::Impl::ProcessFrames(
         // Framing is lost: answer with one protocol-error frame and close
         // once it is flushed. Nothing after this point is parseable.
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        ReactorSend(r, conn, wire::EncodeErrorFrame(0, error),
+        ReactorSend(r, conn, Encode<ErrorResponse>(Framing::kWire, error),
                     /*close_after=*/true);
         return conn->inbound.size();
     }
@@ -715,10 +704,11 @@ size_t AsyncServer::Impl::ProcessJsonLines(
       // not buffered further, so the stream is abandoned.
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       ReactorSend(r, conn,
-                  SerializeErrorLine(
+                  Encode<ErrorResponse>(
+                      Framing::kJson,
                       "line exceeds " +
-                      std::to_string(options_.max_frame_payload) + " bytes") +
-                      "\n",
+                          std::to_string(options_.max_frame_payload) +
+                          " bytes"),
                   /*close_after=*/true);
       return in.size();
     }
@@ -745,8 +735,9 @@ void AsyncServer::Impl::HandleFrame(Reactor& r,
       // Too short to carry a routing key — no shard to decode it on, so
       // this is the one predict decode error reported from the reactor.
       ReactorSend(r, conn,
-                  wire::EncodeErrorFrame(header.id,
-                                         "malformed predict payload"));
+                  Encode<ErrorResponse>(Framing::kWire,
+                                        "malformed predict payload",
+                                        header.id));
       return;
     }
     QueueItem item;
@@ -762,7 +753,8 @@ void AsyncServer::Impl::HandleFrame(Reactor& r,
   if (!wire::DecodeRequest(header, payload, &request, &error)) {
     // The frame boundary was sound, so the stream stays usable: report
     // against this id and keep serving the connection.
-    ReactorSend(r, conn, wire::EncodeErrorFrame(header.id, error));
+    ReactorSend(r, conn,
+                Encode<ErrorResponse>(Framing::kWire, error, header.id));
     return;
   }
   HandleControl(r, conn, header.id, request);
@@ -775,7 +767,7 @@ void AsyncServer::Impl::HandleJsonLine(
   std::string error;
   if (!ParseRequestLine(line, &request, &error)) {
     // A line boundary is always sound, so the session continues.
-    ReactorSend(r, conn, SerializeErrorLine(error) + "\n");
+    ReactorSend(r, conn, Encode<ErrorResponse>(Framing::kJson, error));
     return;
   }
   if (request.op != RequestLine::Op::kPredict) {
@@ -801,12 +793,12 @@ void AsyncServer::Impl::Admit(Reactor& r,
   const size_t shard = service_->registry().ShardOf(dataset);
   item.conn = conn;
   if (queues_[shard]->TryPush(std::move(item))) return;
-  ReactorSend(r, conn,
-              conn->framing == Framing::kJson
-                  ? SerializeShedResponse(id, shard, options_.retry_after_ms) +
-                        "\n"
-                  : wire::EncodeShedResponse(id, static_cast<uint32_t>(shard),
-                                             options_.retry_after_ms));
+  PredictReply shed;
+  shed.response.id = id;
+  shed.response.shard = shard;
+  shed.shed = true;
+  shed.retry_after_ms = options_.retry_after_ms;
+  ReactorSend(r, conn, Encode<PredictResponse>(*conn->framing, shed));
 }
 
 void AsyncServer::Impl::HandleControl(
@@ -820,10 +812,8 @@ void AsyncServer::Impl::HandleControl(
       HandleLoad(r, conn, id, request);
       break;
     case RequestLine::Op::kStats:
-      ReactorSend(r, conn,
-                  conn->framing == Framing::kJson
-                      ? SerializeMetrics(MetricsSnapshot()) + "\n"
-                      : wire::EncodeStatsResponse(id, MetricsSnapshot()));
+      ReactorSend(r, conn, Encode<StatsResponse>(*conn->framing,
+                                                 MetricsSnapshot(), id));
       break;
     case RequestLine::Op::kShutdown:
       HandleShutdown(r, conn, id);
@@ -834,7 +824,7 @@ void AsyncServer::Impl::HandleControl(
 void AsyncServer::Impl::HandleLoad(Reactor& r,
                                    const std::shared_ptr<Connection>& conn,
                                    uint64_t id, const RequestLine& request) {
-  wire::LoadResult result;
+  LoadResult result;
   result.dataset = request.load_dataset;
   {
     // Registry mutation is HDIDX_BUILD_ONLY: park every shard worker and
@@ -862,10 +852,7 @@ void AsyncServer::Impl::HandleLoad(Reactor& r,
     }
     for (auto& queue : queues_) queue->Resume();
   }
-  ReactorSend(r, conn,
-              conn->framing == Framing::kJson
-                  ? SerializeLoadResponse(result) + "\n"
-                  : wire::EncodeLoadResponse(id, result));
+  ReactorSend(r, conn, Encode<LoadResponse>(*conn->framing, result, id));
 }
 
 void AsyncServer::Impl::HandleShutdown(
@@ -885,10 +872,7 @@ void AsyncServer::Impl::HandleShutdown(
     for (auto& queue : queues_) queue->WaitIdle();
   }
   const uint64_t served = served_.load(std::memory_order_relaxed);
-  ReactorSend(r, conn,
-              conn->framing == Framing::kJson
-                  ? SerializeShutdownResponse(served) + "\n"
-                  : wire::EncodeShutdownResponse(id, served));
+  ReactorSend(r, conn, Encode<ShutdownResponse>(*conn->framing, served, id));
   Stop();
 }
 

@@ -41,7 +41,8 @@ struct AsyncServerOptions {
 /// per-connection running number from 1. Anything else means the binary
 /// wire protocol (service/wire.h), whose magic starts with 0x48. Both
 /// decode into the same RequestLine and share routing, admission, the
-/// shard queues, serving, load and shutdown; only the render differs.
+/// shard queues, serving, load and shutdown; every reply is one
+/// Encode<Msg>(framing, ...) of the message definitions in protocol.h.
 ///
 /// Architecture: one non-blocking acceptor thread round-robins incoming
 /// connections across `num_reactors` epoll event loops; reactors only read

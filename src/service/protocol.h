@@ -3,104 +3,131 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
+#include <string_view>
 
 #include "service/prediction_service.h"
 
 namespace hdidx::service {
 
 namespace wire {
-struct LoadResult;
+struct FrameHeader;
 }  // namespace wire
 
-/// The service's JSON framing: one flat JSON object per line, on the same
-/// socket server as the binary wire protocol (service/async_server.h picks
-/// the framing by a connection's first byte). Requests are *flat* objects
-/// (nesting is rejected); responses may nest, so a picky client can still
-/// parse them with a full JSON parser while the server stays
-/// dependency-free.
+/// The service's messages, each defined once and spoken in two framings
+/// on one socket (service/async_server.h picks a connection's framing by
+/// its first byte): kWire, length-prefixed binary frames (service/wire.h),
+/// and kJson, one JSON object per line. Requests are flat JSON objects;
+/// responses may nest.
 ///
-/// Request ops:
+/// protocol.cc lists each message's fields once, in wire order, each with
+/// its JSON name, struct member, and wire width. Four generic drivers walk
+/// the lists at compile time: wire append, wire read, JSON render, JSON
+/// read. A difference between the framings is stated in the message's own
+/// list; DESIGN.md §6 names them all.
+///
+/// JSON requests ("op" defaults to "predict"; numeric fields are optional,
+/// default to the ServiceRequest defaults, and are read exactly over the
+/// full u64 range; "dataset" is required, and "path" for load):
 ///   {"op":"load","dataset":"d1","path":"/data/d1.hdx"}
-///   {"op":"predict","dataset":"d1","method":"resampled","memory":10000,
-///    "num_queries":100,"k":10,"seed":1,"page_bytes":8192,"id":7,
+///   {"op":"predict","id":7,"dataset":"d1","method":"resampled",
+///    "memory":10000,"num_queries":100,"k":10,"seed":1,"page_bytes":8192,
 ///    "per_query":false}
 ///   {"op":"stats"}
 ///   {"op":"shutdown"}
 ///
-/// Every numeric request field is optional and defaults to the
-/// ServiceRequest defaults; "dataset" is required for load/predict, "path"
-/// for load. Each request line gets one response line.
-///
-/// The predict response nests the deterministic payload under "result":
-///   {"op":"predict","id":7,"ok":true,"cache":"hit","shard":0,
-///    "served_seeks":0,"served_transfers":0,"result":{...}}
-/// Everything outside "result" is serving metadata; the "result" object is
-/// bit-identical for a given request regardless of shard count, arrival
-/// order, cache state, or framing (doubles are printed with %.17g, which
-/// round-trips IEEE doubles exactly).
+/// Each request gets one response. A predict response nests its
+/// deterministic payload under "result"; everything outside it is serving
+/// metadata. "result" is bit-identical for a given request regardless of
+/// shard count, arrival order, cache state, or framing (doubles print as
+/// %.17g, which round-trips IEEE doubles exactly).
 
-/// A scalar JSON value as the flat parser produces it.
-struct JsonValue {
-  enum class Kind { kString, kNumber, kBool, kNull };
-  Kind kind = Kind::kNull;
-  std::string str;     // kString
-  double num = 0.0;    // kNumber
-  bool boolean = false;  // kBool
-};
+enum class Framing : uint8_t { kWire, kJson };
 
-/// Parses one flat JSON object (no nested objects/arrays). Returns false
-/// and fills `*error` on malformed input.
-bool ParseFlatJsonObject(const std::string& line,
-                         std::map<std::string, JsonValue>* out,
-                         std::string* error);
+/// Longest dataset, method, or path name a request may carry, in bytes
+/// (Linux's PATH_MAX). The request readers of both framings refuse longer
+/// names, so an error that echoes a name ("unknown dataset: <name>") always
+/// fits a u16-prefixed wire string.
+inline constexpr size_t kMaxNameBytes = 4096;
 
-/// A parsed request line.
+/// A parsed request, whatever its framing.
 struct RequestLine {
   enum class Op { kLoad, kPredict, kStats, kShutdown };
   Op op = Op::kPredict;
   /// Valid when op == kPredict.
   ServiceRequest predict;
-  /// Whether the predict line carried an explicit "id".
+  /// Whether the predict carried an explicit id (always true on the wire).
   bool has_id = false;
   /// Valid when op == kLoad.
   std::string load_dataset;
   std::string load_path;
 };
 
-/// Parses a request line. Returns false and fills `*error` on malformed
-/// JSON, unknown op, missing required fields, or non-integral numerics.
-bool ParseRequestLine(const std::string& line, RequestLine* out,
+/// Load outcome, both directions.
+struct LoadResult {
+  bool ok = false;
+  std::string dataset;
+  uint64_t points = 0;
+  uint32_t dims = 0;
+  uint32_t shard = 0;
+  std::string error;
+};
+
+/// A predict response. When `shed`, only id/shard/retry_after_ms are
+/// meaningful; otherwise `response` carries every field. Per-query
+/// accesses are zero-filled to their count when the array was not sent,
+/// so SerializeResult round-trips.
+struct PredictReply {
+  ServiceResponse response;
+  bool per_query = false;
+  bool shed = false;
+  uint32_t retry_after_ms = 0;
+};
+
+// --- the messages ---------------------------------------------------------
+// Each tag names one message and the struct that carries it.
+
+struct PredictRequest { using Data = ServiceRequest; };
+struct LoadRequest { using Data = RequestLine; };
+struct StatsRequest { using Data = RequestLine; };
+struct ShutdownRequest { using Data = RequestLine; };
+/// Also carries the shed reply (PredictReply::shed).
+struct PredictResponse { using Data = PredictReply; };
+struct ErrorResponse { using Data = std::string; };
+struct LoadResponse { using Data = LoadResult; };
+struct StatsResponse { using Data = ServiceMetrics; };
+/// The number of predicts served.
+struct ShutdownResponse { using Data = uint64_t; };
+
+/// The bytes of `data` as message `Msg` in `framing`: a whole wire frame,
+/// or one JSON line with its newline. `id` is the frame header's id for
+/// messages that do not carry their own (the control responses echo the
+/// request's); JSON drops it for those.
+template <class Msg>
+std::string Encode(Framing framing, const typename Msg::Data& data,
+                   uint64_t id = 0);
+
+/// Reads message `Msg`. For kWire, `header` and `body` are the frame's
+/// header and payload; for kJson, `body` is one line and `header` is
+/// ignored. Fails with `*error` set on a malformed message or another op.
+template <class Msg>
+bool Decode(Framing framing, const wire::FrameHeader& header,
+            std::string_view body, typename Msg::Data* out,
+            std::string* error);
+
+/// Parses a JSON request line. Returns false and fills `*error` on
+/// malformed JSON, an unknown op, a missing required field, a wrongly
+/// typed value, or a name longer than kMaxNameBytes.
+bool ParseRequestLine(std::string_view line, RequestLine* out,
                       std::string* error);
 
-/// Serializes only the deterministic payload (the "result" object, or an
-/// error object when !ok) — the byte string the determinism tests compare.
+/// The deterministic payload of a predict response as JSON: the "result"
+/// object, or an error object when !ok. The byte string the determinism
+/// tests compare.
 std::string SerializeResult(const ServiceResponse& response, bool per_query);
 
-/// Serializes a full predict response line (metadata + result), newline
-/// not included.
-std::string SerializePredictResponse(const ServiceResponse& response,
-                                     bool per_query);
-
-/// Serializes a metrics snapshot as a stats response line.
-std::string SerializeMetrics(const ServiceMetrics& metrics);
-
-/// The load response line: dataset, and points/dims/shard or the error.
-std::string SerializeLoadResponse(const wire::LoadResult& result);
-
-/// The shutdown acknowledgement, carrying the number of predicts served.
-std::string SerializeShutdownResponse(uint64_t served);
-
-/// The response to a request line that does not parse.
-std::string SerializeErrorLine(const std::string& error);
-
-/// The response to a predict refused by admission control.
-std::string SerializeShedResponse(uint64_t id, size_t shard,
-                                  uint32_t retry_after_ms);
-
 /// Escapes a string for embedding in JSON output (adds the quotes).
-std::string JsonQuote(const std::string& s);
+std::string JsonQuote(std::string_view s);
 
 }  // namespace hdidx::service
 

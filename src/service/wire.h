@@ -12,7 +12,7 @@
 
 namespace hdidx::service::wire {
 
-/// The service's binary transport: length-prefixed frames over a byte
+/// The service's binary framing: length-prefixed frames over a byte
 /// stream (TCP), designed for pipelining — a client may write any number
 /// of request frames before reading responses, and responses to predict
 /// requests may arrive out of order (match them by `id`).
@@ -29,13 +29,16 @@ namespace hdidx::service::wire {
 ///        6     2  reserved  must be zero
 ///        8     4  length    payload bytes following the header
 ///       12     8  id        caller-chosen request id, echoed in responses
-///       20     -  payload   op-specific (see wire.cc encoders)
+///       20     -  payload   op-specific
 ///
-/// Doubles travel as their raw IEEE-754 bits (8 bytes, little-endian), so
-/// a decoded response reproduces the JSON transport's %.17g text exactly:
-/// the determinism contract is byte-identity of the serialized `result`
-/// payload across transports. Per-query access vectors are appended as one
-/// contiguous f64 array — memcpy in and out on little-endian hosts.
+/// Payloads are not laid out here: each message's fields are listed once
+/// in protocol.cc, and its generic wire driver appends them in order as
+/// u32/u64/f64 (raw IEEE-754 bits) or u16-prefixed strings, with booleans
+/// in the flag bits. Doubles travel as raw bits, so a decoded response
+/// reproduces the JSON framing's %.17g text exactly: the determinism
+/// contract is byte-identity of the serialized `result` payload across
+/// framings. Per-query access vectors are appended as one contiguous f64
+/// array — memcpy in and out on little-endian hosts.
 ///
 /// Error handling is two-level: a frame whose *header* is malformed (bad
 /// magic/version/reserved, oversized length) poisons the stream — the
@@ -115,6 +118,8 @@ class WireReader {
 
  private:
   bool Take(size_t n, const char** p);
+  template <class T>
+  bool ReadLE(T* v);
 
   std::string_view bytes_;
   size_t pos_ = 0;
@@ -123,9 +128,9 @@ class WireReader {
 
 // --- framing ------------------------------------------------------------
 
-/// Serializes header + payload into one wire frame.
-std::string EncodeFrame(WireOp op, uint16_t flags, uint64_t id,
-                        std::string_view payload);
+/// Writes the header into the first kHeaderBytes of `frame`, whose
+/// remaining bytes are the payload: the frame is built in place.
+void SealFrame(std::string* frame, WireOp op, uint16_t flags, uint64_t id);
 
 enum class FrameStatus : uint8_t {
   /// The buffer holds no complete frame yet; read more bytes.
@@ -144,69 +149,32 @@ FrameStatus NextFrame(std::string_view buffer, size_t max_payload,
                       size_t* consumed, FrameHeader* header,
                       std::string_view* payload, std::string* error);
 
-// --- request frames -----------------------------------------------------
-
-std::string EncodePredictRequest(const ServiceRequest& request);
-std::string EncodeLoadRequest(uint64_t id, std::string_view dataset,
-                              std::string_view path);
-std::string EncodeStatsRequest(uint64_t id);
-std::string EncodeShutdownRequest(uint64_t id);
-
-/// Decodes any request frame into the parsed-request struct shared with
-/// the JSON transport (predict id/per_query come from the header). Fails
-/// on response flags, kError op, or payload mismatch.
-bool DecodeRequest(const FrameHeader& header, std::string_view payload,
-                   RequestLine* out, std::string* error);
-
 /// Reads just the leading dataset string of a predict request payload (the
 /// routing key — enough for a reactor to pick the target shard without
 /// decoding the rest). Returns false when the payload is too short to hold
 /// it; full validation stays with DecodeRequest on the worker.
 bool PeekPredictDataset(std::string_view payload, std::string* dataset);
 
-// --- response frames ----------------------------------------------------
+// --- per-message shorthands ----------------------------------------------
+// The kWire framing of the generic Encode/Decode in service/protocol.h,
+// for the messages predictbench encodes and decodes directly.
 
+using service::PredictReply;
+
+std::string EncodePredictRequest(const ServiceRequest& request);
+std::string EncodeStatsRequest(uint64_t id);
+/// Decodes any request frame into the RequestLine shared with the JSON
+/// framing (predict id/per_query come from the header). Fails on the
+/// response flag, op kError, a malformed payload, or an overlong name.
+bool DecodeRequest(const FrameHeader& header, std::string_view payload,
+                   RequestLine* out, std::string* error);
 std::string EncodePredictResponse(const ServiceResponse& response,
                                   bool per_query);
-std::string EncodeShedResponse(uint64_t id, uint32_t shard,
-                               uint32_t retry_after_ms);
-std::string EncodeErrorFrame(uint64_t id, std::string_view message);
-std::string EncodeShutdownResponse(uint64_t id, uint64_t served);
-std::string EncodeStatsResponse(uint64_t id, const ServiceMetrics& metrics);
-
-/// Load outcome, both directions.
-struct LoadResult {
-  bool ok = false;
-  std::string dataset;
-  uint64_t points = 0;
-  uint32_t dims = 0;
-  uint32_t shard = 0;
-  std::string error;
-};
-std::string EncodeLoadResponse(uint64_t id, const LoadResult& result);
-
-/// A decoded predict response. When `shed`, only id/shard/retry_after_ms
-/// are meaningful; otherwise `response` carries everything the JSON
-/// transport would have (per-query accesses zero-filled to their count
-/// when the array was not requested, so SerializeResult round-trips).
-struct PredictReply {
-  ServiceResponse response;
-  bool per_query = false;
-  bool shed = false;
-  uint32_t retry_after_ms = 0;
-};
-
+/// Decodes a predict response or a shed reply.
 bool DecodePredictResponse(const FrameHeader& header, std::string_view payload,
                            PredictReply* out, std::string* error);
-bool DecodeLoadResponse(const FrameHeader& header, std::string_view payload,
-                        LoadResult* out, std::string* error);
 bool DecodeStatsResponse(const FrameHeader& header, std::string_view payload,
                          ServiceMetrics* out, std::string* error);
-bool DecodeShutdownResponse(const FrameHeader& header,
-                            std::string_view payload, uint64_t* served,
-                            std::string* error);
-bool DecodeErrorFrame(const FrameHeader& header, std::string_view payload,
-                      std::string* message, std::string* error);
 
 }  // namespace hdidx::service::wire
 

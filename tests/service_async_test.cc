@@ -12,6 +12,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -27,6 +28,8 @@
 
 namespace hdidx::service {
 namespace {
+
+constexpr Framing kWire = Framing::kWire;
 
 namespace wire = hdidx::service::wire;
 
@@ -60,6 +63,23 @@ std::unique_ptr<PredictionService> MakeService(size_t shards) {
         << error;
   }
   return svc;
+}
+
+/// A frame with any header fields, for the malformed-input tests.
+std::string EncodeFrame(wire::WireOp op, uint16_t flags, uint64_t id,
+                        std::string_view payload) {
+  std::string frame(wire::kHeaderBytes, '\0');
+  frame.append(payload.data(), payload.size());
+  wire::SealFrame(&frame, op, flags, id);
+  return frame;
+}
+
+/// A load request's data.
+RequestLine LoadLine(std::string_view dataset, std::string_view path) {
+  RequestLine load;
+  load.load_dataset = dataset;
+  load.load_path = path;
+  return load;
 }
 
 /// Minimal blocking test client for the wire protocol: one socket, an
@@ -177,14 +197,14 @@ class WireClient {
 /// Sends a shutdown frame, checks the ack, and waits the server down.
 /// Returns the served count the ack carried.
 uint64_t ShutdownAndWait(WireClient* client, AsyncServer* server) {
-  EXPECT_TRUE(client->Send(wire::EncodeShutdownRequest(999)));
+  EXPECT_TRUE(client->Send(Encode<ShutdownRequest>(kWire, {}, 999)));
   wire::FrameHeader header;
   std::string payload;
   std::string error;
   EXPECT_TRUE(client->Read(&header, &payload, &error)) << error;
   uint64_t served = 0;
   EXPECT_TRUE(
-      wire::DecodeShutdownResponse(header, payload, &served, &error))
+      Decode<ShutdownResponse>(kWire, header, payload, &served, &error))
       << error;
   EXPECT_EQ(header.id, 999u);
   EXPECT_EQ(server->Wait(), served);
@@ -410,12 +430,13 @@ TEST(AsyncServerTest, LoadStatsAndCacheHitsOverSocket) {
   ASSERT_TRUE(client.Connect(server.port()));
 
   // Load a fourth dataset over the socket.
-  ASSERT_TRUE(client.Send(wire::EncodeLoadRequest(1, "delta", path)));
+  ASSERT_TRUE(
+      client.Send(Encode<LoadRequest>(kWire, LoadLine("delta", path), 1)));
   wire::FrameHeader header;
   std::string payload;
   ASSERT_TRUE(client.Read(&header, &payload, &error)) << error;
-  wire::LoadResult load;
-  ASSERT_TRUE(wire::DecodeLoadResponse(header, payload, &load, &error))
+  LoadResult load;
+  ASSERT_TRUE(Decode<LoadResponse>(kWire, header, payload, &load, &error))
       << error;
   EXPECT_TRUE(load.ok) << load.error;
   EXPECT_EQ(load.dataset, "delta");
@@ -424,9 +445,10 @@ TEST(AsyncServerTest, LoadStatsAndCacheHitsOverSocket) {
   EXPECT_EQ(load.shard, svc->registry().ShardOf("delta"));
 
   // Loading the same name again fails over the wire, politely.
-  ASSERT_TRUE(client.Send(wire::EncodeLoadRequest(2, "delta", path)));
+  ASSERT_TRUE(
+      client.Send(Encode<LoadRequest>(kWire, LoadLine("delta", path), 2)));
   ASSERT_TRUE(client.Read(&header, &payload, &error)) << error;
-  ASSERT_TRUE(wire::DecodeLoadResponse(header, payload, &load, &error));
+  ASSERT_TRUE(Decode<LoadResponse>(kWire, header, payload, &load, &error));
   EXPECT_FALSE(load.ok);
   EXPECT_NE(load.error.find("already registered"), std::string::npos);
 
@@ -556,7 +578,7 @@ TEST(AsyncServerTest, LoadWithQueuedPredictsDoesNotDeadlock) {
   for (uint64_t id = 1; id <= 3; ++id) {
     frames += wire::EncodePredictRequest(Req("alpha", "mini", 1, id));
   }
-  frames += wire::EncodeLoadRequest(9, "delta", path);
+  frames += Encode<LoadRequest>(kWire, LoadLine("delta", path), 9);
   ASSERT_TRUE(client.Send(frames));
 
   // The load acks and its Resume unparks the workers, so the queued
@@ -569,8 +591,8 @@ TEST(AsyncServerTest, LoadWithQueuedPredictsDoesNotDeadlock) {
     std::string payload;
     ASSERT_TRUE(client.Read(&header, &payload, &error)) << error;
     if (header.id == 9) {
-      wire::LoadResult load;
-      ASSERT_TRUE(wire::DecodeLoadResponse(header, payload, &load, &error))
+      LoadResult load;
+      ASSERT_TRUE(Decode<LoadResponse>(kWire, header, payload, &load, &error))
           << error;
       EXPECT_TRUE(load.ok) << load.error;
       EXPECT_EQ(load.dataset, "delta");
@@ -620,7 +642,7 @@ TEST(AsyncServerTest, ShutdownDrainsQueuedPredictsEvenWhilePaused) {
   for (uint64_t id = 1; id <= 3; ++id) {
     frames += wire::EncodePredictRequest(Req("alpha", "mini", 1, id));
   }
-  frames += wire::EncodeShutdownRequest(999);
+  frames += Encode<ShutdownRequest>(kWire, {}, 999);
   ASSERT_TRUE(client.Send(frames));
 
   for (const uint64_t expected_id : {1, 2, 3}) {
@@ -638,7 +660,7 @@ TEST(AsyncServerTest, ShutdownDrainsQueuedPredictsEvenWhilePaused) {
   std::string payload;
   ASSERT_TRUE(client.Read(&header, &payload, &error)) << error;
   uint64_t served = 0;
-  ASSERT_TRUE(wire::DecodeShutdownResponse(header, payload, &served, &error))
+  ASSERT_TRUE(Decode<ShutdownResponse>(kWire, header, payload, &served, &error))
       << error;
   EXPECT_EQ(header.id, 999u);
   EXPECT_EQ(served, 3u);
@@ -698,7 +720,7 @@ TEST(AsyncServerTest, MalformedStreamsRejectedWithoutTakingTheServerDown) {
     std::string payload;
     ASSERT_TRUE(garbage.Read(&header, &payload, &error)) << error;
     std::string message;
-    ASSERT_TRUE(wire::DecodeErrorFrame(header, payload, &message, &error))
+    ASSERT_TRUE(Decode<ErrorResponse>(kWire, header, payload, &message, &error))
         << error;
     EXPECT_EQ(header.id, 0u);
     EXPECT_NE(message.find("bad magic"), std::string::npos);
@@ -710,12 +732,12 @@ TEST(AsyncServerTest, MalformedStreamsRejectedWithoutTakingTheServerDown) {
   WireClient client;
   ASSERT_TRUE(client.Connect(server.port()));
   ASSERT_TRUE(client.Send(
-      wire::EncodeFrame(wire::WireOp::kPredict, 0, 77, "junk")));
+      EncodeFrame(wire::WireOp::kPredict, 0, 77, "junk")));
   wire::FrameHeader header;
   std::string payload;
   ASSERT_TRUE(client.Read(&header, &payload, &error)) << error;
   std::string message;
-  ASSERT_TRUE(wire::DecodeErrorFrame(header, payload, &message, &error));
+  ASSERT_TRUE(Decode<ErrorResponse>(kWire, header, payload, &message, &error));
   EXPECT_EQ(header.id, 77u);
 
   ASSERT_TRUE(client.Send(wire::EncodePredictRequest(Req("alpha", "mini", 1,
@@ -726,6 +748,52 @@ TEST(AsyncServerTest, MalformedStreamsRejectedWithoutTakingTheServerDown) {
   EXPECT_TRUE(reply.response.ok) << reply.response.error;
   EXPECT_EQ(reply.response.id, 78u);
 
+  EXPECT_EQ(ShutdownAndWait(&client, &server), 1u);
+}
+
+TEST(AsyncServerTest, LongestNamesGetAnErrorAndTheConnectionKeepsServing) {
+  // A u16 length prefix admits names of up to 65,535 bytes. Echoing such a
+  // name inside an error message ("unknown dataset: <name>") would no
+  // longer fit a wire string, so names are capped when a request is read
+  // and the request is refused against its id instead.
+  auto svc = MakeService(1);
+  AsyncServer server(svc.get(), AsyncServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  WireClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+
+  const std::string longest(0xffff, 'x');
+  ASSERT_TRUE(client.Send(wire::EncodePredictRequest(Req(longest, "mini", 1,
+                                                         31))));
+  ASSERT_TRUE(client.Send(wire::EncodePredictRequest(Req("alpha", longest, 1,
+                                                         32))));
+  ASSERT_TRUE(client.Send(
+      Encode<LoadRequest>(kWire, LoadLine("delta", longest), 33)));
+  // The load is answered on the reactor, the predicts by a shard worker,
+  // so the three replies may come in any order.
+  std::set<uint64_t> ids;
+  for (int i = 0; i < 3; ++i) {
+    wire::FrameHeader header;
+    std::string payload;
+    ASSERT_TRUE(client.Read(&header, &payload, &error)) << error;
+    ids.insert(header.id);
+    std::string message;
+    ASSERT_TRUE(Decode<ErrorResponse>(kWire, header, payload, &message, &error))
+        << error;
+    EXPECT_NE(message.find(std::to_string(kMaxNameBytes)), std::string::npos)
+        << message;
+  }
+  EXPECT_EQ(ids, (std::set<uint64_t>{31, 32, 33}));
+
+  ASSERT_TRUE(client.Send(wire::EncodePredictRequest(Req("alpha", "mini", 1,
+                                                         34))));
+  wire::FrameHeader header;
+  std::string payload;
+  ASSERT_TRUE(client.Read(&header, &payload, &error)) << error;
+  wire::PredictReply reply;
+  ASSERT_TRUE(wire::DecodePredictResponse(header, payload, &reply, &error));
+  EXPECT_TRUE(reply.response.ok) << reply.response.error;
   EXPECT_EQ(ShutdownAndWait(&client, &server), 1u);
 }
 
@@ -749,11 +817,11 @@ TEST(AsyncServerTest, WorkerDecodeErrorsKeepIdAndOrderAndSkipServedCount) {
   std::string bad_payload;
   wire::AppendString(&bad_payload, "alpha");
   ASSERT_TRUE(client.Send(
-      wire::EncodeFrame(wire::WireOp::kPredict, 0, 101, bad_payload)));
+      EncodeFrame(wire::WireOp::kPredict, 0, 101, bad_payload)));
   ASSERT_TRUE(client.Send(wire::EncodePredictRequest(Req("alpha", "mini", 1,
                                                          102))));
   ASSERT_TRUE(client.Send(
-      wire::EncodeFrame(wire::WireOp::kPredict, 0, 103, bad_payload)));
+      EncodeFrame(wire::WireOp::kPredict, 0, 103, bad_payload)));
   ASSERT_TRUE(client.Send(wire::EncodePredictRequest(Req("alpha", "mini", 2,
                                                          104))));
 
@@ -765,7 +833,7 @@ TEST(AsyncServerTest, WorkerDecodeErrorsKeepIdAndOrderAndSkipServedCount) {
     if (expected_id % 2 == 1) {
       std::string message;
       ASSERT_TRUE(
-          wire::DecodeErrorFrame(header, payload, &message, &error))
+          Decode<ErrorResponse>(kWire, header, payload, &message, &error))
           << error;
       EXPECT_NE(message.find("predict"), std::string::npos) << message;
     } else {

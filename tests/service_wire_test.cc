@@ -12,6 +12,9 @@
 namespace hdidx::service::wire {
 namespace {
 
+constexpr Framing kWire = Framing::kWire;
+constexpr Framing kJson = Framing::kJson;
+
 std::string Hex(std::string_view bytes) {
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string out;
@@ -22,6 +25,33 @@ std::string Hex(std::string_view bytes) {
     out.push_back(kDigits[b & 0xf]);
   }
   return out;
+}
+
+/// A frame with any header fields, for the malformed-input tests.
+std::string EncodeFrame(WireOp op, uint16_t flags, uint64_t id,
+                        std::string_view payload) {
+  std::string frame(kHeaderBytes, '\0');
+  frame.append(payload.data(), payload.size());
+  SealFrame(&frame, op, flags, id);
+  return frame;
+}
+
+/// A load request's data.
+RequestLine LoadLine(std::string_view dataset, std::string_view path) {
+  RequestLine load;
+  load.load_dataset = dataset;
+  load.load_path = path;
+  return load;
+}
+
+/// A shed reply's data.
+PredictReply Shed(uint64_t id, size_t shard, uint32_t retry_after_ms) {
+  PredictReply shed;
+  shed.response.id = id;
+  shed.response.shard = shard;
+  shed.shed = true;
+  shed.retry_after_ms = retry_after_ms;
+  return shed;
 }
 
 /// Runs the full extract-and-decode path a server/client would on `bytes`
@@ -42,13 +72,13 @@ FrameStatus ExtractAndDecode(std::string_view bytes) {
   PredictReply reply;
   DecodePredictResponse(header, payload, &reply, &error);
   LoadResult load;
-  DecodeLoadResponse(header, payload, &load, &error);
+  Decode<LoadResponse>(kWire, header, payload, &load, &error);
   ServiceMetrics metrics;
   DecodeStatsResponse(header, payload, &metrics, &error);
   uint64_t served = 0;
-  DecodeShutdownResponse(header, payload, &served, &error);
+  Decode<ShutdownResponse>(kWire, header, payload, &served, &error);
   std::string message;
-  DecodeErrorFrame(header, payload, &message, &error);
+  Decode<ErrorResponse>(kWire, header, payload, &message, &error);
   std::string dataset;
   PeekPredictDataset(payload, &dataset);
   return status;
@@ -67,7 +97,7 @@ TEST(WireGoldenTest, FrameBytesArePinned) {
             "00000000"          // length 0
             "0700000000000000"  // id 7
   );
-  EXPECT_EQ(Hex(EncodeShutdownRequest(0x0102030405060708ull)),
+  EXPECT_EQ(Hex(Encode<ShutdownRequest>(kWire, {}, 0x0102030405060708ull)),
             "484401030000000000000000"
             "0807060504030201");
 
@@ -98,7 +128,7 @@ TEST(WireGoldenTest, FrameBytesArePinned) {
             "0004000000000000"  // page_bytes 1024
   );
 
-  EXPECT_EQ(Hex(EncodeLoadRequest(1, "d", "/x.hdx")),
+  EXPECT_EQ(Hex(Encode<LoadRequest>(kWire, LoadLine("d", "/x.hdx"), 1)),
             "4844"
             "01"
             "01"                // op kLoad
@@ -110,7 +140,7 @@ TEST(WireGoldenTest, FrameBytesArePinned) {
             "06002f782e686478"  // path: len 6, "/x.hdx"
   );
 
-  EXPECT_EQ(Hex(EncodeErrorFrame(0, "bad")),
+  EXPECT_EQ(Hex(Encode<ErrorResponse>(kWire, "bad", 0)),
             "4844"
             "01"
             "04"                // op kError
@@ -120,7 +150,7 @@ TEST(WireGoldenTest, FrameBytesArePinned) {
             "0000000000000000"
             "0300626164");
 
-  EXPECT_EQ(Hex(EncodeShedResponse(42, 1, 50)),
+  EXPECT_EQ(Hex(Encode<PredictResponse>(kWire, Shed(42, 1, 50))),
             "4844"
             "01"
             "00"                // op kPredict
@@ -218,7 +248,7 @@ TEST(WireGoldenTest, ResponseBytesArePinned) {
   metrics.shards.resize(2);
   metrics.shards[0] = {4, 0.5, 1.0, 2.0, 0, 3, 0};
   metrics.shards[1] = {6, 1.5, 2.5, 3.5, 2, 4, 5};
-  EXPECT_EQ(Hex(EncodeStatsResponse(12, metrics)),
+  EXPECT_EQ(Hex(Encode<StatsResponse>(kWire, metrics, 12)),
             "4844"
             "01"
             "02"                // op kStats
@@ -260,7 +290,7 @@ TEST(WireGoldenTest, ResponseBytesArePinned) {
   loaded.points = 400;
   loaded.dims = 5;
   loaded.shard = 1;
-  EXPECT_EQ(Hex(EncodeLoadResponse(4, loaded)),
+  EXPECT_EQ(Hex(Encode<LoadResponse>(kWire, loaded, 4)),
             "4844"
             "01"
             "01"                // op kLoad
@@ -276,7 +306,7 @@ TEST(WireGoldenTest, ResponseBytesArePinned) {
   LoadResult refused;
   refused.dataset = "d";
   refused.error = "nope";
-  EXPECT_EQ(Hex(EncodeLoadResponse(4, refused)),
+  EXPECT_EQ(Hex(Encode<LoadResponse>(kWire, refused, 4)),
             "4844"
             "01"
             "01"
@@ -288,7 +318,7 @@ TEST(WireGoldenTest, ResponseBytesArePinned) {
             "04006e6f7065"      // error: len 4, "nope"
   );
 
-  EXPECT_EQ(Hex(EncodeShutdownResponse(2, 16)),
+  EXPECT_EQ(Hex(Encode<ShutdownResponse>(kWire, 16, 2)),
             "4844"
             "01"
             "03"                // op kShutdown
@@ -313,8 +343,9 @@ TEST(WireRoundTripTest, RequestsDecodeThroughSharedRequestLine) {
   predict.per_query = true;
 
   for (const std::string& frame :
-       {EncodePredictRequest(predict), EncodeLoadRequest(5, "beta", "/b.hdx"),
-        EncodeStatsRequest(6), EncodeShutdownRequest(7)}) {
+       {EncodePredictRequest(predict),
+        Encode<LoadRequest>(kWire, LoadLine("beta", "/b.hdx"), 5),
+        EncodeStatsRequest(6), Encode<ShutdownRequest>(kWire, {}, 7)}) {
     size_t consumed = 0;
     FrameHeader header;
     std::string_view payload;
@@ -431,7 +462,7 @@ TEST(WireRoundTripTest, ErrorShedLoadStatsShutdownResponses) {
             SerializeResult(failed, false));
 
   // Shed.
-  const std::string shed = EncodeShedResponse(99, 3, 25);
+  const std::string shed = Encode<PredictResponse>(kWire, Shed(99, 3, 25));
   ASSERT_EQ(NextFrame(shed, kDefaultMaxPayload, &consumed, &header, &payload,
                       &error),
             FrameStatus::kFrame);
@@ -448,12 +479,13 @@ TEST(WireRoundTripTest, ErrorShedLoadStatsShutdownResponses) {
   load.points = 20000;
   load.dims = 16;
   load.shard = 1;
-  const std::string load_ok = EncodeLoadResponse(4, load);
+  const std::string load_ok = Encode<LoadResponse>(kWire, load, 4);
   ASSERT_EQ(NextFrame(load_ok, kDefaultMaxPayload, &consumed, &header,
                       &payload, &error),
             FrameStatus::kFrame);
   LoadResult decoded_load;
-  ASSERT_TRUE(DecodeLoadResponse(header, payload, &decoded_load, &error));
+  ASSERT_TRUE(
+      Decode<LoadResponse>(kWire, header, payload, &decoded_load, &error));
   EXPECT_TRUE(decoded_load.ok);
   EXPECT_EQ(decoded_load.points, 20000u);
   EXPECT_EQ(decoded_load.dims, 16u);
@@ -461,11 +493,12 @@ TEST(WireRoundTripTest, ErrorShedLoadStatsShutdownResponses) {
 
   load.ok = false;
   load.error = "no such file";
-  const std::string load_err = EncodeLoadResponse(4, load);
+  const std::string load_err = Encode<LoadResponse>(kWire, load, 4);
   ASSERT_EQ(NextFrame(load_err, kDefaultMaxPayload, &consumed, &header,
                       &payload, &error),
             FrameStatus::kFrame);
-  ASSERT_TRUE(DecodeLoadResponse(header, payload, &decoded_load, &error));
+  ASSERT_TRUE(
+      Decode<LoadResponse>(kWire, header, payload, &decoded_load, &error));
   EXPECT_FALSE(decoded_load.ok);
   EXPECT_EQ(decoded_load.error, "no such file");
 
@@ -490,7 +523,7 @@ TEST(WireRoundTripTest, ErrorShedLoadStatsShutdownResponses) {
   metrics.shards[1].queue_depth = 2;
   metrics.shards[1].peak_queue_depth = 4;
   metrics.shards[1].shed = 5;
-  const std::string stats = EncodeStatsResponse(12, metrics);
+  const std::string stats = Encode<StatsResponse>(kWire, metrics, 12);
   ASSERT_EQ(NextFrame(stats, kDefaultMaxPayload, &consumed, &header, &payload,
                       &error),
             FrameStatus::kFrame);
@@ -499,30 +532,34 @@ TEST(WireRoundTripTest, ErrorShedLoadStatsShutdownResponses) {
       << error;
   // JSON serialization is a faithful field-by-field readout, so equality of
   // the serialized lines is equality of every field at once.
-  EXPECT_EQ(SerializeMetrics(decoded_metrics), SerializeMetrics(metrics));
+  EXPECT_EQ(Encode<StatsResponse>(kJson, decoded_metrics),
+            Encode<StatsResponse>(kJson, metrics));
 
   // Shutdown.
-  const std::string ack = EncodeShutdownResponse(2, 16);
+  const std::string ack = Encode<ShutdownResponse>(kWire, 16, 2);
   ASSERT_EQ(NextFrame(ack, kDefaultMaxPayload, &consumed, &header, &payload,
                       &error),
             FrameStatus::kFrame);
   uint64_t served = 0;
-  ASSERT_TRUE(DecodeShutdownResponse(header, payload, &served, &error));
+  ASSERT_TRUE(
+      Decode<ShutdownResponse>(kWire, header, payload, &served, &error));
   EXPECT_EQ(served, 16u);
 
   // Error frame.
-  const std::string err = EncodeErrorFrame(6, "malformed predict payload");
+  const std::string err =
+      Encode<ErrorResponse>(kWire, "malformed predict payload", 6);
   ASSERT_EQ(NextFrame(err, kDefaultMaxPayload, &consumed, &header, &payload,
                       &error),
             FrameStatus::kFrame);
   std::string message;
-  ASSERT_TRUE(DecodeErrorFrame(header, payload, &message, &error));
+  ASSERT_TRUE(Decode<ErrorResponse>(kWire, header, payload, &message, &error));
   EXPECT_EQ(header.id, 6u);
   EXPECT_EQ(message, "malformed predict payload");
 }
 
 TEST(WireFramingTest, TruncatedPrefixesNeedMoreThenCompleteFrame) {
-  const std::string frame = EncodeStatsRequest(3) + EncodeShutdownRequest(4);
+  const std::string frame =
+      EncodeStatsRequest(3) + Encode<ShutdownRequest>(kWire, {}, 4);
   // Every proper prefix of the first frame is kNeedMore — never an error,
   // never a partial decode.
   for (size_t n = 0; n < kHeaderBytes; ++n) {
@@ -709,17 +746,17 @@ std::vector<std::string> SeedCorpus() {
   load.dims = 8;
   return {
       EncodePredictRequest(predict),
-      EncodeLoadRequest(1, "d", "/tmp/d.hdx"),
+      Encode<LoadRequest>(kWire, LoadLine("d", "/tmp/d.hdx"), 1),
       EncodeStatsRequest(2),
-      EncodeShutdownRequest(3),
+      Encode<ShutdownRequest>(kWire, {}, 3),
       EncodePredictResponse(ok_response, /*per_query=*/true),
       EncodePredictResponse(ok_response, /*per_query=*/false),
       EncodePredictResponse(err_response, /*per_query=*/false),
-      EncodeShedResponse(4, 0, 50),
-      EncodeErrorFrame(0, "bad magic"),
-      EncodeStatsResponse(5, metrics),
-      EncodeLoadResponse(6, load),
-      EncodeShutdownResponse(7, 42),
+      Encode<PredictResponse>(kWire, Shed(4, 0, 50)),
+      Encode<ErrorResponse>(kWire, "bad magic", 0),
+      Encode<StatsResponse>(kWire, metrics, 5),
+      Encode<LoadResponse>(kWire, load, 6),
+      Encode<ShutdownResponse>(kWire, 42, 7),
   };
 }
 

@@ -6,8 +6,9 @@
 // read), an optional warm repeat of the same batch that must be served
 // from the mini-index cache, stats, shutdown. By default the session
 // speaks the binary wire protocol (src/service/wire.h); with --json it
-// sends JSON lines (src/service/protocol.h) over the same socket instead.
-// The session, health checks, and summary line are identical either way.
+// sends JSON lines over the same socket instead. Both are encoded and
+// decoded by the service's message definitions (src/service/protocol.h),
+// so the session, health checks, and summary line are one code path.
 // Exits 0 only on a fully healthy session (all predictions ok, warm batch
 // hit the cache, clean shutdown), so CI can use it as a one-command smoke
 // test of either framing.
@@ -31,7 +32,6 @@
 #include <cstring>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "flags.h"
 #include "service/protocol.h"
@@ -39,7 +39,6 @@
 
 namespace {
 
-using hdidx::service::JsonQuote;
 namespace wire = hdidx::service::wire;
 
 constexpr char kUsage[] =
@@ -49,14 +48,10 @@ constexpr char kUsage[] =
     "                    [--repeat BOOL] [--json]\n";
 
 struct SessionSpec {
-  std::string dataset;
   std::string data_path;
-  std::string method;
-  uint64_t memory = 0;
-  uint64_t k = 0;
-  uint64_t queries = 0;
+  /// The first predict of a pass; the others count id and seed up.
+  hdidx::service::ServiceRequest predict;
   uint64_t requests = 0;
-  uint64_t seed = 0;
   bool repeat = true;
 };
 
@@ -68,26 +63,7 @@ struct SessionTally {
   uint64_t predict_ok = 0;
   uint64_t predict_failed = 0;
   uint64_t cache_hits = 0;
-  uint64_t with_prediction = 0;
 };
-
-/// The predict requests of one pass, ids from `id_base`.
-std::vector<hdidx::service::ServiceRequest> PassRequests(
-    const SessionSpec& spec, uint64_t id_base) {
-  std::vector<hdidx::service::ServiceRequest> requests;
-  for (uint64_t i = 0; i < spec.requests; ++i) {
-    hdidx::service::ServiceRequest request;
-    request.id = id_base + i;
-    request.dataset = spec.dataset;
-    request.method = spec.method;
-    request.memory = spec.memory;
-    request.k = spec.k;
-    request.num_queries = spec.queries;
-    request.seed = spec.seed + i;
-    requests.push_back(request);
-  }
-  return requests;
-}
 
 /// Spawns `command` via /bin/sh with stdout piped; returns false on
 /// fork/pipe failure.
@@ -109,17 +85,13 @@ bool Spawn(const std::string& command, pid_t* pid, FILE** from_child) {
   return *from_child != nullptr;
 }
 
-bool Contains(const std::string& line, const char* needle) {
-  return line.find(needle) != std::string::npos;
-}
-
 /// Reads lines from the server's stdout until the ready line and parses
 /// the bound port out of it. Returns 0 on failure.
 uint16_t ReadReadyPort(FILE* from_child) {
   char buffer[1 << 14];
   while (std::fgets(buffer, sizeof(buffer), from_child) != nullptr) {
     const std::string line(buffer);
-    if (!Contains(line, "\"op\":\"ready\"")) continue;
+    if (line.find("\"op\":\"ready\"") == std::string::npos) continue;
     const size_t pos = line.find("\"port\":");
     if (pos == std::string::npos) {
       std::fprintf(stderr, "error: ready line has no port: %s",
@@ -169,71 +141,99 @@ bool SendAll(int fd, std::string_view bytes) {
   return true;
 }
 
-/// Appends whatever the socket has next to `*buffer`; false on error or
-/// peer close.
-bool RecvMore(int fd, std::string* buffer, std::string* error) {
-  while (true) {
-    char chunk[1 << 16];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      *error = std::string("recv: ") + std::strerror(errno);
-      return false;
-    }
-    if (n == 0) {
-      *error = "server closed the connection mid-message";
-      return false;
-    }
-    buffer->append(chunk, static_cast<size_t>(n));
-    return true;
+/// One session connection, in either framing. Requests are encoded and
+/// responses decoded by the service's message definitions, so both
+/// framings run the same session code.
+class Session {
+ public:
+  Session(int fd, hdidx::service::Framing framing)
+      : fd_(fd), framing_(framing) {}
+
+  template <class Msg>
+  bool Send(const typename Msg::Data& data, uint64_t id = 0) {
+    return SendAll(fd_, hdidx::service::Encode<Msg>(framing_, data, id));
   }
-}
 
-// --- binary wire framing ------------------------------------------------
-
-/// Blocks until one whole frame is extracted from the connection. The
-/// payload is copied out so `*buffer` can keep accumulating.
-bool ReadFrame(int fd, std::string* buffer, wire::FrameHeader* header,
-               std::string* payload, std::string* error) {
-  while (true) {
-    size_t consumed = 0;
-    std::string_view view;
-    const wire::FrameStatus status = wire::NextFrame(
-        *buffer, wire::kDefaultMaxPayload, &consumed, header, &view, error);
-    if (status == wire::FrameStatus::kError) return false;
-    if (status == wire::FrameStatus::kFrame) {
-      payload->assign(view);
-      buffer->erase(0, consumed);
-      return true;
-    }
-    if (!RecvMore(fd, buffer, error)) return false;
+  /// Reads the next message and decodes it as `Msg`. The message stays
+  /// available to Retry<> when it is some other message.
+  template <class Msg>
+  bool Read(typename Msg::Data* out, std::string* error) {
+    return Next(error) && Retry<Msg>(out, error);
   }
-}
+  template <class Msg>
+  bool Retry(typename Msg::Data* out, std::string* error) {
+    return hdidx::service::Decode<Msg>(framing_, header_, body_, out, error);
+  }
 
-/// Reads `count` predict responses off the socket (ids may arrive in any
-/// order across shards) and tallies them. kError frames count as failures
-/// but do not abort the session — the server keeps the connection open.
-bool TallyPredictReplies(int fd, std::string* buffer, uint64_t count,
-                         SessionTally* tally) {
-  for (uint64_t i = 0; i < count; ++i) {
-    wire::FrameHeader header;
-    std::string payload;
+ private:
+  /// Blocks until one whole frame or line has arrived.
+  bool Next(std::string* error) {
+    while (true) {
+      if (framing_ == hdidx::service::Framing::kJson) {
+        const size_t newline = buffer_.find('\n');
+        if (newline != std::string::npos) {
+          body_.assign(buffer_, 0, newline);
+          buffer_.erase(0, newline + 1);
+          return true;
+        }
+      } else {
+        size_t consumed = 0;
+        std::string_view view;
+        const wire::FrameStatus status = wire::NextFrame(
+            buffer_, wire::kDefaultMaxPayload, &consumed, &header_, &view,
+            error);
+        if (status == wire::FrameStatus::kError) return false;
+        if (status == wire::FrameStatus::kFrame) {
+          body_.assign(view);
+          buffer_.erase(0, consumed);
+          return true;
+        }
+      }
+      char chunk[1 << 16];
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) {
+        *error = n == 0 ? "server closed the connection mid-message"
+                        : std::string("recv: ") + std::strerror(errno);
+        return false;
+      }
+      buffer_.append(chunk, static_cast<size_t>(n));
+    }
+  }
+
+  int fd_;
+  hdidx::service::Framing framing_;
+  std::string buffer_;
+  wire::FrameHeader header_;
+  std::string body_;
+};
+
+/// Sends one pass of pipelined predicts (all written before any response
+/// is read), then reads and tallies as many replies (ids may arrive in any
+/// order across shards). Error replies count as failures but do not abort
+/// the session — the server keeps the connection open.
+bool RunPass(Session* session, const SessionSpec& spec, uint64_t id_base,
+             SessionTally* tally) {
+  using namespace hdidx::service;
+  for (uint64_t i = 0; i < spec.requests; ++i) {
+    ServiceRequest request = spec.predict;
+    request.id = id_base + i;
+    request.seed += i;
+    if (!session->Send<PredictRequest>(request)) return false;
+  }
+  for (uint64_t i = 0; i < spec.requests; ++i) {
+    PredictReply reply;
     std::string error;
-    if (!ReadFrame(fd, buffer, &header, &payload, &error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return false;
-    }
-    if (header.op == wire::WireOp::kError) {
+    if (!session->Read<PredictResponse>(&reply, &error)) {
       std::string message;
-      wire::DecodeErrorFrame(header, payload, &message, &error);
+      if (!session->Retry<ErrorResponse>(&message, &error)) {
+        std::fprintf(stderr, "error: bad predict response: %s\n",
+                     error.c_str());
+        return false;
+      }
       std::fprintf(stderr, "predict failed: %s\n", message.c_str());
       ++tally->predict_failed;
       continue;
-    }
-    wire::PredictReply reply;
-    if (!wire::DecodePredictResponse(header, payload, &reply, &error)) {
-      std::fprintf(stderr, "error: bad predict response: %s\n", error.c_str());
-      return false;
     }
     if (reply.shed) {
       std::fprintf(stderr,
@@ -245,7 +245,6 @@ bool TallyPredictReplies(int fd, std::string* buffer, uint64_t count,
     }
     if (reply.response.ok) {
       ++tally->predict_ok;
-      ++tally->with_prediction;
     } else {
       ++tally->predict_failed;
       std::fprintf(stderr, "predict failed: %s\n",
@@ -256,159 +255,43 @@ bool TallyPredictReplies(int fd, std::string* buffer, uint64_t count,
   return true;
 }
 
-/// The binary session: load, pipelined cold batch, optional warm batch,
-/// stats, shutdown. Returns false on transport failure (the tally
-/// still decides overall health).
-bool RunWireSession(int fd, const SessionSpec& spec, SessionTally* tally) {
-  std::string buffer;
-  wire::FrameHeader header;
-  std::string payload;
+/// The session: load, pipelined cold batch, optional warm batch, stats,
+/// shutdown. Returns false on transport failure (the tally still decides
+/// overall health).
+bool RunSession(Session* session, const SessionSpec& spec,
+                SessionTally* tally) {
+  using namespace hdidx::service;
   std::string error;
-
-  if (!SendAll(fd, wire::EncodeLoadRequest(1, spec.dataset, spec.data_path)) ||
-      !ReadFrame(fd, &buffer, &header, &payload, &error)) {
+  RequestLine load_request;
+  load_request.load_dataset = spec.predict.dataset;
+  load_request.load_path = spec.data_path;
+  LoadResult load;
+  if (!session->Send<LoadRequest>(load_request, 1) ||
+      !session->Read<LoadResponse>(&load, &error)) {
     std::fprintf(stderr, "error: load exchange failed: %s\n", error.c_str());
-    return false;
-  }
-  wire::LoadResult load;
-  if (header.op != wire::WireOp::kLoad ||
-      !wire::DecodeLoadResponse(header, payload, &load, &error)) {
-    std::fprintf(stderr, "error: bad load response: %s\n", error.c_str());
     return false;
   }
   tally->load_ok = load.ok;
   if (!load.ok) std::fprintf(stderr, "load failed: %s\n", load.error.c_str());
 
-  // Pipelined batches: write every predict frame of a pass, then drain the
-  // same number of responses.
-  const auto send_batch = [&](uint64_t id_base) {
-    std::string frames;
-    for (const auto& request : PassRequests(spec, id_base)) {
-      frames += wire::EncodePredictRequest(request);
-    }
-    return SendAll(fd, frames);
-  };
-  if (!send_batch(1000) ||
-      !TallyPredictReplies(fd, &buffer, spec.requests, tally)) {
-    return false;
-  }
-  if (spec.repeat) {
-    if (!send_batch(2000) ||
-        !TallyPredictReplies(fd, &buffer, spec.requests, tally)) {
-      return false;
-    }
-  }
+  if (!RunPass(session, spec, 1000, tally)) return false;
+  if (spec.repeat && !RunPass(session, spec, 2000, tally)) return false;
 
-  if (!SendAll(fd, wire::EncodeStatsRequest(2)) ||
-      !ReadFrame(fd, &buffer, &header, &payload, &error)) {
+  ServiceMetrics metrics;
+  if (!session->Send<StatsRequest>(RequestLine{}, 2) ||
+      !session->Read<StatsResponse>(&metrics, &error)) {
     std::fprintf(stderr, "error: stats exchange failed: %s\n", error.c_str());
     return false;
   }
-  hdidx::service::ServiceMetrics metrics;
-  if (header.op != wire::WireOp::kStats ||
-      !wire::DecodeStatsResponse(header, payload, &metrics, &error)) {
-    std::fprintf(stderr, "error: bad stats response: %s\n", error.c_str());
-    return false;
-  }
-  std::printf("stats: %s\n",
-              hdidx::service::SerializeMetrics(metrics).c_str());
+  std::printf("stats: %s",
+              Encode<StatsResponse>(Framing::kJson, metrics).c_str());
 
-  if (!SendAll(fd, wire::EncodeShutdownRequest(3)) ||
-      !ReadFrame(fd, &buffer, &header, &payload, &error)) {
-    std::fprintf(stderr, "error: shutdown exchange failed: %s\n",
-                 error.c_str());
-    return false;
-  }
   uint64_t served = 0;
-  tally->shutdown_ok =
-      header.op == wire::WireOp::kShutdown &&
-      wire::DecodeShutdownResponse(header, payload, &served, &error);
-  return true;
-}
-
-// --- JSON line framing --------------------------------------------------
-
-/// Blocks until one whole response line arrives (newline stripped).
-bool ReadLine(int fd, std::string* buffer, std::string* line,
-              std::string* error) {
-  while (true) {
-    const size_t newline = buffer->find('\n');
-    if (newline != std::string::npos) {
-      line->assign(*buffer, 0, newline);
-      buffer->erase(0, newline + 1);
-      return true;
-    }
-    if (!RecvMore(fd, buffer, error)) return false;
-  }
-}
-
-/// Sends one request line and reads its one response line.
-bool JsonExchange(int fd, std::string* buffer, const std::string& request,
-                  std::string* response) {
-  std::string error;
-  if (!SendAll(fd, request + "\n") ||
-      !ReadLine(fd, buffer, response, &error)) {
-    std::fprintf(stderr, "error: exchange failed: %s\n", error.c_str());
+  if (!session->Send<ShutdownRequest>(RequestLine{}, 3)) {
+    std::fprintf(stderr, "error: shutdown exchange failed\n");
     return false;
   }
-  return true;
-}
-
-/// The JSON session: the binary session's steps, as lines on the socket.
-bool RunJsonSession(int fd, const SessionSpec& spec, SessionTally* tally) {
-  std::string buffer;
-  std::string line;
-  if (!JsonExchange(fd, &buffer,
-                    "{\"op\":\"load\",\"dataset\":" +
-                        JsonQuote(spec.dataset) +
-                        ",\"path\":" + JsonQuote(spec.data_path) + "}",
-                    &line)) {
-    return false;
-  }
-  tally->load_ok = Contains(line, "\"op\":\"load\"") &&
-                   Contains(line, "\"ok\":true");
-  if (!tally->load_ok) std::fprintf(stderr, "load failed: %s\n", line.c_str());
-
-  const auto run_batch = [&](uint64_t id_base) {
-    std::string lines;
-    for (const auto& r : PassRequests(spec, id_base)) {
-      lines += "{\"op\":\"predict\",\"id\":" + std::to_string(r.id) +
-               ",\"dataset\":" + JsonQuote(r.dataset) +
-               ",\"method\":" + JsonQuote(r.method) +
-               ",\"memory\":" + std::to_string(r.memory) +
-               ",\"k\":" + std::to_string(r.k) +
-               ",\"num_queries\":" + std::to_string(r.num_queries) +
-               ",\"seed\":" + std::to_string(r.seed) + "}\n";
-    }
-    if (!SendAll(fd, lines)) return false;
-    for (uint64_t i = 0; i < spec.requests; ++i) {
-      std::string error;
-      if (!ReadLine(fd, &buffer, &line, &error)) {
-        std::fprintf(stderr, "error: %s\n", error.c_str());
-        return false;
-      }
-      if (Contains(line, "\"op\":\"predict\"") &&
-          Contains(line, "\"ok\":true")) {
-        ++tally->predict_ok;
-      } else {
-        ++tally->predict_failed;
-        std::fprintf(stderr, "predict failed: %s\n", line.c_str());
-      }
-      if (Contains(line, "\"cache\":\"hit\"")) ++tally->cache_hits;
-      if (Contains(line, "\"avg_leaf_accesses\":")) ++tally->with_prediction;
-    }
-    return true;
-  };
-  if (!run_batch(1000)) return false;
-  if (spec.repeat && !run_batch(2000)) return false;
-
-  if (!JsonExchange(fd, &buffer, "{\"op\":\"stats\"}", &line)) return false;
-  std::printf("stats: %s\n", line.c_str());
-  if (!JsonExchange(fd, &buffer, "{\"op\":\"shutdown\"}", &line)) {
-    return false;
-  }
-  tally->shutdown_ok = Contains(line, "\"op\":\"shutdown\"") &&
-                       Contains(line, "\"ok\":true");
+  tally->shutdown_ok = session->Read<ShutdownResponse>(&served, &error);
   return true;
 }
 
@@ -422,14 +305,14 @@ int main(int argc, char** argv) {
                             "json"});
 
   SessionSpec spec;
-  spec.dataset = flags.GetString("dataset", "d");
   spec.data_path = flags.GetString("data", "");
-  spec.method = flags.GetString("method", "resampled");
-  spec.memory = flags.GetUint("memory", 10000);
-  spec.k = flags.GetUint("k", 10);
-  spec.queries = flags.GetUint("queries", 100);
+  spec.predict.dataset = flags.GetString("dataset", "d");
+  spec.predict.method = flags.GetString("method", "resampled");
+  spec.predict.memory = flags.GetUint("memory", 10000);
+  spec.predict.k = flags.GetUint("k", 10);
+  spec.predict.num_queries = flags.GetUint("queries", 100);
+  spec.predict.seed = flags.GetUint("seed", 1);
   spec.requests = flags.GetUint("requests", 4);
-  spec.seed = flags.GetUint("seed", 1);
   spec.repeat = flags.GetString("repeat", "true") != "false";
   const bool json = flags.GetBool("json");
   const std::string serve_cmd = flags.GetString("serve", "");
@@ -458,8 +341,9 @@ int main(int argc, char** argv) {
     }
     transport_ok = false;
   } else {
-    transport_ok = json ? RunJsonSession(fd, spec, &tally)
-                        : RunWireSession(fd, spec, &tally);
+    Session session(fd, json ? service::Framing::kJson
+                             : service::Framing::kWire);
+    transport_ok = RunSession(&session, spec, &tally);
     close(fd);
   }
   // Drain anything else the server printed so it never blocks on a full
@@ -489,7 +373,6 @@ int main(int argc, char** argv) {
   const bool healthy = transport_ok && tally.load_ok && tally.shutdown_ok &&
                        tally.predict_failed == 0 &&
                        tally.predict_ok == expected &&
-                       tally.with_prediction == expected &&
                        (!spec.repeat || tally.cache_hits >= spec.requests);
   if (!healthy) {
     std::fprintf(stderr, "error: unhealthy session\n");
